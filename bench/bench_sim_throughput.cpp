@@ -20,9 +20,9 @@
 // runs), the robustness series (replay hot loop with a dormant
 // CancellationToken threaded through, vs plain — the fault-tolerance
 // machinery must be free when nothing fires), the SIMD series (vectorized
-// replay kernels + fixed-point clock arithmetic vs the byte-identical
-// scalar reference path, with the speedup enforced as a floor when a SIMD
-// ISA is active), and the service series
+// replay kernels vs the byte-identical scalar reference path, with the
+// speedup enforced as a floor when a SIMD ISA is active), and the service
+// series
 // (N concurrent clients against the loopback sweep daemon, cold vs warm —
 // the warm burst must perform zero builds), next to the pre-PR baseline
 // those numbers are tracked against. CI uploads it and enforces
@@ -147,8 +147,8 @@ void BM_ReplayCellLut(benchmark::State& state) {
 BENCHMARK(BM_ReplayCellLut)->Unit(benchmark::kMillisecond);
 
 // The same replay cell pinned to the scalar reference path (--no-simd):
-// the gap against BM_ReplayCellLut is the vectorized-kernel + fixed-point
-// win, with byte-identical results (the tracked artifact series enforces a
+// the gap against BM_ReplayCellLut is the vectorized-kernel win, with
+// byte-identical results (the tracked artifact series enforces a
 // floor on the ratio when SIMD is active).
 void BM_ReplayCellLutScalar(benchmark::State& state) {
     const timing::DesignConfig design;
@@ -585,33 +585,6 @@ void emit_artifact() {
                      timed_cycles(50, [&] { return fused_column_cycles(true); }).cycles_per_s);
     }
 
-    // Fixed-point vs double requested-period fill: the same unit array
-    // scaled at the same operating point, filled by the plain double
-    // multiply and by the mult+shift integer path (bit-identical by
-    // construction — tests/test_replay.cpp proves the identity, this series
-    // only times it).
-    const timing::ScaledTraceDelays fp_view =
-        timing::scale_trace_delays(unit_delays, timing::DelayCalculator(design));
-    const auto fixed_point = timing::FixedPointPeriod::resolve(fp_view);
-    const std::size_t fill_cycles = trace.records.size();
-    std::vector<double> fill(fill_cycles);
-    const double* unit_row = fp_view.unit->unit_required_period_ps.data();
-    const double fill_scale = fp_view.delay_scale;
-    const double fill_double_rate = timed_cycles(200, [&] {
-        for (std::size_t c = 0; c < fill_cycles; ++c) fill[c] = unit_row[c] * fill_scale;
-        benchmark::DoNotOptimize(fill.data());
-        return static_cast<std::uint64_t>(fill_cycles);
-    }).cycles_per_s;
-    double fill_fixed_rate = 0;
-    if (fixed_point.has_value()) {
-        const timing::FixedPointPeriod& fx = *fixed_point;
-        fill_fixed_rate = timed_cycles(200, [&] {
-            for (std::size_t c = 0; c < fill_cycles; ++c) fill[c] = fx(c);
-            benchmark::DoNotOptimize(fill.data());
-            return static_cast<std::uint64_t>(fill_cycles);
-        }).cycles_per_s;
-    }
-
     // Service cold-vs-warm loopback series: N clients fire the same spec
     // at a fresh daemon (cold: every artifact built once behind shared
     // futures) and then again at the warmed daemon (warm: the shared cache
@@ -810,7 +783,7 @@ void emit_artifact() {
     }
 
     std::string out = "{\n";
-    out += "  \"schema\": " + json_string("focs-bench-sim-throughput-v9") + ",\n";
+    out += "  \"schema\": " + json_string("focs-bench-sim-throughput-v10") + ",\n";
     out += "  \"baseline\": {\n";
     out += "    \"note\": " +
            json_string("pre-PR seed implementation, commit edd42a9, measured on the repo's dev "
@@ -851,25 +824,17 @@ void emit_artifact() {
     out += "  \"simd\": {\n";
     out += "    \"note\": " +
            json_string("vectorized replay kernels (gather/max LUT fill, branch-free mask "
-                       "select, vectorized safety reduction) + fixed-point mult+shift clock "
-                       "arithmetic vs the byte-identical scalar reference path "
-                       "(ReplayOptions::force_scalar / --no-simd), best of 3 passes each; "
-                       "replay_simd_speedup is enforced as a floor by "
-                       "tools/check_bench_regression.py whenever simd_active is 1, and the "
-                       "fill series compares the double multiply against the bit-identical "
-                       "integer mult+shift requested-period fill") +
+                       "select, vectorized safety reduction) vs the byte-identical scalar "
+                       "reference path (ReplayOptions::force_scalar / --no-simd), best of 3 "
+                       "passes each; replay_simd_speedup is enforced as a floor by "
+                       "tools/check_bench_regression.py whenever simd_active is 1") +
            ",\n";
     out += "    \"simd_active\": " + std::string(simd_active ? "1" : "0") + ",\n";
     out += "    \"simd_isa\": " + json_string(simd_isa) + ",\n";
     out += "    \"replay_lut_scalar_cycles_per_s\": " + json_number(replay_scalar) + ",\n";
     out += "    \"replay_lut_simd_cycles_per_s\": " + json_number(replay_simd) + ",\n";
     out += "    \"replay_simd_speedup\": " +
-           json_number(replay_scalar > 0 ? replay_simd / replay_scalar : 0) + ",\n";
-    out += "    \"fill_double_cycles_per_s\": " + json_number(fill_double_rate) + ",\n";
-    out += "    \"fill_fixed_point_cycles_per_s\": " + json_number(fill_fixed_rate) + ",\n";
-    out += "    \"fixed_point_vs_double_fill\": " +
-           json_number(fill_double_rate > 0 ? fill_fixed_rate / fill_double_rate : 0) +
-           "\n  },\n";
+           json_number(replay_scalar > 0 ? replay_simd / replay_scalar : 0) + "\n  },\n";
     out += "  \"instrumentation\": {\n";
     out += "    \"note\": " +
            json_string("replay hot loop under the three ReplayObsMode resolutions, best of 3 "

@@ -1,11 +1,16 @@
 #include "clock/clock_generator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "common/error.hpp"
 
 namespace focs::clocking {
+
+void ClockGenerator::grant_block(const double* requested, std::size_t n, double* out) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = grant_period_ps(requested[i]);
+}
 
 QuantizedClockGenerator::QuantizedClockGenerator(double min_period_ps, double max_period_ps,
                                                  int num_taps) {
@@ -17,6 +22,7 @@ QuantizedClockGenerator::QuantizedClockGenerator(double min_period_ps, double ma
     } else {
         const double step = (max_period_ps - min_period_ps) / (num_taps - 1);
         for (int i = 0; i < num_taps; ++i) taps_.push_back(min_period_ps + step * i);
+        inv_step_ = 1.0 / step;
     }
 }
 
@@ -29,6 +35,38 @@ double QuantizedClockGenerator::grant_period_ps(double requested_ps) {
     const auto it = std::lower_bound(taps_.begin(), taps_.end(), requested_ps);
     if (it == taps_.end()) return requested_ps;  // beyond slowest tap: stretch
     return *it;
+}
+
+void QuantizedClockGenerator::grant_block(const double* requested, std::size_t n, double* out) {
+    const double* taps = taps_.data();
+    const double lo = taps_.front();
+    const double hi = taps_.back();
+    const double inv_step = inv_step_;
+    const double last = static_cast<double>(taps_.size() - 1);
+    for (std::size_t i = 0; i < n; ++i) {
+        const double r = requested[i];
+        if (r > hi) {  // beyond slowest tap: stretch
+            out[i] = r;
+            continue;
+        }
+        // The taps are equally spaced up to rounding, so the estimate is
+        // the answer or one tap off; the clamp also sends NaN and requests
+        // below the fastest tap to index 0, as lower_bound does.
+        const double estimate = std::ceil((r - lo) * inv_step);
+        std::size_t k = 0;
+        if (estimate >= last) {
+            k = static_cast<std::size_t>(last);
+        } else if (estimate > 0) {
+            k = static_cast<std::size_t>(estimate);
+        }
+        // One compare each way settles the rounding; the loops only run
+        // further when the spacing is within a few ulps of the tap values.
+        // They stop at taps[k - 1] < r <= taps[k], which is lower_bound's
+        // answer (r <= hi keeps k in range).
+        while (k > 0 && taps[k - 1] >= r) --k;
+        while (taps[k] < r) ++k;
+        out[i] = taps[k];
+    }
 }
 
 std::string QuantizedClockGenerator::name() const {
@@ -50,7 +88,11 @@ void PllBankClockGenerator::reset() {
     started_ = false;
 }
 
-double PllBankClockGenerator::grant_period_ps(double requested_ps) {
+void PllBankClockGenerator::grant_block(const double* requested, std::size_t n, double* out) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = grant(requested[i]);
+}
+
+double PllBankClockGenerator::grant(double requested_ps) {
     // Smallest source covering the request; beyond the slowest source we
     // stretch the slowest one.
     std::size_t want = periods_.size() - 1;

@@ -8,6 +8,7 @@
 // one, and some CGs cannot retune to a faster clock instantly.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,13 @@ public:
     /// Returns the period the CG actually produces for this cycle.
     /// Postcondition: granted >= requested (never unsafe).
     virtual double grant_period_ps(double requested_ps) = 0;
+
+    /// Block form of grant_period_ps: out[i] is bit-identical to the i-th
+    /// of n consecutive grant_period_ps(requested[i]) calls, state carried
+    /// across calls and blocks alike. `out` may alias `requested`. The
+    /// default loops over grant_period_ps; generators override it with a
+    /// non-virtual loop so replay pays one virtual call per block.
+    virtual void grant_block(const double* requested, std::size_t n, double* out);
 
     /// Re-arms the CG for a new run.
     virtual void reset() = 0;
@@ -46,6 +54,11 @@ public:
     static QuantizedClockGenerator for_static_period(double static_period_ps, int num_taps);
 
     double grant_period_ps(double requested_ps) override;
+    /// Ceil-to-tap without a search: the tap index is computed from the
+    /// equal spacing, k = ceil((r - lo) / step), then a compare against
+    /// taps_[k-1] and taps_[k] corrects the rounding of that estimate, so
+    /// every grant is the very tap lower_bound finds.
+    void grant_block(const double* requested, std::size_t n, double* out) override;
     void reset() override {}
     std::string name() const override;
 
@@ -53,6 +66,8 @@ public:
 
 private:
     std::vector<double> taps_;  ///< ascending
+    /// Tap-index estimate (r - taps_.front()) * inv_step_; 0 for one tap.
+    double inv_step_ = 0;
 };
 
 /// Multi-PLL CG: a small set of clock sources; switching to a *faster*
@@ -63,11 +78,16 @@ class PllBankClockGenerator final : public ClockGenerator {
 public:
     PllBankClockGenerator(std::vector<double> periods_ps, int min_dwell_cycles);
 
-    double grant_period_ps(double requested_ps) override;
+    double grant_period_ps(double requested_ps) override { return grant(requested_ps); }
+    /// The dwell state machine in a non-virtual loop; the state carries
+    /// across blocks exactly as across single calls.
+    void grant_block(const double* requested, std::size_t n, double* out) override;
     void reset() override;
     std::string name() const override;
 
 private:
+    double grant(double requested_ps);
+
     std::vector<double> periods_;  ///< ascending
     int min_dwell_cycles_;
     std::size_t current_ = 0;  ///< index of the currently selected source

@@ -26,7 +26,6 @@ ReplayEvaluationEngine::ReplayEvaluationEngine(const sim::PipelineTrace& trace,
     if (!options_.force_scalar) {
         kernels_ = simd_replay_kernels();
         if (kernels_ == nullptr) kernels_ = &scalar_replay_kernels();
-        fx_ = timing::FixedPointPeriod::resolve(delays_);
         for (int s = 0; s < sim::kStageCount; ++s) {
             for (OccKey key = 0; key < dta::kKeyCount; ++key) {
                 effective_rows_[static_cast<std::size_t>(s)][static_cast<std::size_t>(key)] =
@@ -41,18 +40,60 @@ std::size_t ReplayEvaluationEngine::scratch_cycles() const {
                                  std::max<std::size_t>(trace_->records.size(), 1));
 }
 
+void ReplayEvaluationEngine::walk_block(clocking::ClockGenerator* generator,
+                                        const double* requested, double* granted,
+                                        std::size_t begin, std::size_t end,
+                                        RunTotals& totals) const {
+    const double* unit = delays_.unit->unit_required_period_ps.data();
+    const double scale = delays_.delay_scale;
+    if (kernels_ != nullptr) {
+        // A stateful generator grants the whole block in one call; the
+        // grants then take the same block reduction the ideal generator's
+        // requests do (strict-order time integral, order-free violation
+        // figures).
+        const double* grants = requested;
+        if (generator != nullptr) {
+            generator->grant_block(requested, end - begin, granted);
+            grants = granted;
+        }
+        kernels_->reduce_ideal(grants, unit, scale, kViolationTolerancePs, begin, end - begin,
+                               &totals.total_time_ps, &totals.violations,
+                               &totals.worst_violation_ps);
+        return;
+    }
+    // Reference walk (force_scalar): the exact pre-kernel per-cycle loop.
+    for (std::size_t c = begin; c < end; ++c) {
+        const double request = requested[c - begin];
+        const double grant = generator != nullptr ? generator->grant_period_ps(request) : request;
+        totals.total_time_ps += grant;
+        const double required = unit[c] * scale;
+        if (grant + kViolationTolerancePs < required) {
+            ++totals.violations;
+            totals.worst_violation_ps = std::max(totals.worst_violation_ps, required - grant);
+        }
+    }
+}
+
+DcaRunResult ReplayEvaluationEngine::finish(const std::string& policy_name,
+                                            const clocking::ClockGenerator* generator,
+                                            const RunTotals& totals) const {
+    DcaRunResult result = finish_run(
+        policy_name,
+        generator != nullptr ? generator->name() : clocking::IdealClockGenerator().name(),
+        trace_->records.size(), totals.total_time_ps, delays_.static_period_ps,
+        totals.violations, totals.worst_violation_ps);
+    result.guest = trace_->guest;
+    return result;
+}
+
 /// Shared block loop: `fill(begin, end, out)` writes the requested period
-/// of cycles [begin, end) into out[0..end-begin); the grant/integrate/
-/// safety pass then consumes the block in exactly the live engine's
+/// of cycles [begin, end) into out[0..end-begin); walk_block then grants,
+/// integrates and safety-checks the block in exactly the live engine's
 /// per-cycle order, so the integrated time and violation figures are
-/// bit-identical at every block size. With the ideal generator the pass is
-/// a block reduction through the kernel table (SIMD when available); with
-/// a stateful generator it stays a sequential walk, reading the required
-/// period from the fixed-point evaluator when one resolved. Either way the
-/// required period is the same fl(unit * scale) double the live calculator
-/// produces (positive-constant multiplication is monotone under IEEE
-/// rounding, so it commutes with the per-stage max; the fixed-point path
-/// reproduces the multiply bit for bit — see FixedPointPeriod).
+/// bit-identical at every block size. The required period is the same
+/// fl(unit * scale) double the live calculator produces (positive-constant
+/// multiplication is monotone under IEEE rounding, so it commutes with the
+/// per-stage max).
 ///
 /// kObs=false is the exact pre-observability loop (no flag checks inside);
 /// kObs=true layers counters, a granted-period histogram and a per-run
@@ -64,15 +105,10 @@ DcaRunResult ReplayEvaluationEngine::replay_blocks_impl(const ClockPolicy& polic
                                                         FillBlock&& fill,
                                                         const GatherStage* gather_stages,
                                                         int gather_stage_count) const {
-    const double* unit = delays_.unit->unit_required_period_ps.data();
-    const double scale = delays_.delay_scale;
     const std::size_t cycles = trace_->records.size();
     const std::size_t block = static_cast<std::size_t>(options_.block_cycles);
     std::vector<double> requested(scratch_cycles());
-    // Fixed-point required-period evaluator for the sequential generator
-    // walk (bit-exact vs unit[c] * scale — see FixedPointPeriod); nullptr
-    // on the reference path or when the view did not resolve.
-    const timing::FixedPointPeriod* fx = fx_.has_value() ? &*fx_ : nullptr;
+    std::vector<double> granted(generator != nullptr ? scratch_cycles() : 0);
 
 #ifndef FOCS_OBS_COMPILE_OUT
     obs::Span span;
@@ -83,63 +119,27 @@ DcaRunResult ReplayEvaluationEngine::replay_blocks_impl(const ClockPolicy& polic
 #endif
 
     if (generator != nullptr) generator->reset();
-    double total_time_ps = 0;
-    std::uint64_t violations = 0;
-    double worst_violation_ps = 0;
+    RunTotals totals;
     [[maybe_unused]] std::uint64_t blocks = 0;
     for (std::size_t begin = 0; begin < cycles; begin += block) {
         // Block-boundary cancellation check; the cycle loop below stays
         // token-free (see the cost note on ReplayOptions::cancel).
         if (options_.cancel != nullptr) options_.cancel->throw_if_cancelled();
         const std::size_t end = std::min(cycles, begin + block);
+        if constexpr (kObs) ++blocks;
         if (generator == nullptr && kernels_ != nullptr && gather_stages != nullptr) {
             // Ideal generator over a pure-gather fill: the fused kernel
             // gathers, integrates (strict cycle order) and safety-checks
             // in one pass — no scratch round-trip, and the independent
             // gather chains overlap the serial time-integral adds.
-            kernels_->gather_reduce_ideal(gather_stages, gather_stage_count, unit, scale,
-                                          kViolationTolerancePs, begin, end - begin,
-                                          &total_time_ps, &violations, &worst_violation_ps);
-            if constexpr (kObs) ++blocks;
+            kernels_->gather_reduce_ideal(
+                gather_stages, gather_stage_count, delays_.unit->unit_required_period_ps.data(),
+                delays_.delay_scale, kViolationTolerancePs, begin, end - begin,
+                &totals.total_time_ps, &totals.violations, &totals.worst_violation_ps);
             continue;
         }
         fill(begin, end, requested.data());
-        if (generator == nullptr && kernels_ != nullptr) {
-            // Ideal generator (granted == requested): the whole grant/
-            // integrate/safety pass is a block reduction — vectorizable
-            // except for the order-sensitive time integral, which the
-            // kernel sums in strict cycle order.
-            kernels_->reduce_ideal(requested.data(), unit, scale, kViolationTolerancePs, begin,
-                                   end - begin, &total_time_ps, &violations,
-                                   &worst_violation_ps);
-        } else if (generator != nullptr && fx != nullptr) {
-            // Stateful generator: sequential walk, required period from
-            // the integer mult+shift path.
-            for (std::size_t c = begin; c < end; ++c) {
-                const double granted = generator->grant_period_ps(requested[c - begin]);
-                total_time_ps += granted;
-                const double required = (*fx)(c);
-                if (granted + kViolationTolerancePs < required) {
-                    ++violations;
-                    worst_violation_ps = std::max(worst_violation_ps, required - granted);
-                }
-            }
-        } else {
-            // Reference walk (force_scalar, or an unresolvable fixed-point
-            // view): the exact pre-kernel per-cycle loop.
-            for (std::size_t c = begin; c < end; ++c) {
-                const double request = requested[c - begin];
-                const double granted =
-                    generator != nullptr ? generator->grant_period_ps(request) : request;
-                total_time_ps += granted;
-                const double required = unit[c] * scale;
-                if (granted + kViolationTolerancePs < required) {
-                    ++violations;
-                    worst_violation_ps = std::max(worst_violation_ps, required - granted);
-                }
-            }
-        }
-        if constexpr (kObs) ++blocks;
+        walk_block(generator, requested.data(), granted.data(), begin, end, totals);
     }
 
 #ifndef FOCS_OBS_COMPILE_OUT
@@ -159,21 +159,16 @@ DcaRunResult ReplayEvaluationEngine::replay_blocks_impl(const ClockPolicy& polic
         metrics.add(ids.runs);
         metrics.add(ids.blocks, blocks);
         metrics.add(ids.cycles, cycles);
-        metrics.add(ids.violations, violations);
+        metrics.add(ids.violations, totals.violations);
         if (cycles > 0) {
-            metrics.observe(ids.avg_period, total_time_ps / static_cast<double>(cycles));
+            metrics.observe(ids.avg_period, totals.total_time_ps / static_cast<double>(cycles));
         }
         span.arg("blocks", static_cast<std::int64_t>(blocks))
-            .arg("violations", static_cast<std::int64_t>(violations));
+            .arg("violations", static_cast<std::int64_t>(totals.violations));
     }
 #endif
 
-    DcaRunResult result = finish_run(
-        policy.name(),
-        generator != nullptr ? generator->name() : clocking::IdealClockGenerator().name(),
-        cycles, total_time_ps, delays_.static_period_ps, violations, worst_violation_ps);
-    result.guest = trace_->guest;
-    return result;
+    return finish(policy.name(), generator, totals);
 }
 
 template <typename FillBlock>
@@ -615,21 +610,21 @@ std::vector<DcaRunResult> ReplayEvaluationEngine::run_fused(
     // identical to its own run() call.
     struct VariantState {
         clocking::ClockGenerator* generator;
-        double total_time_ps = 0;
-        std::uint64_t violations = 0;
-        double worst_violation_ps = 0;
+        RunTotals totals;
     };
     std::vector<VariantState> variants;
     variants.reserve(generators.size());
+    bool any_stateful = false;
     for (clocking::ClockGenerator* generator : generators) {
         if (generator != nullptr) generator->reset();
-        variants.push_back(VariantState{generator});
+        any_stateful = any_stateful || generator != nullptr;
+        variants.push_back(VariantState{generator, {}});
     }
 
     const std::size_t cycles = trace_->records.size();
     const std::size_t block = static_cast<std::size_t>(options_.block_cycles);
     std::vector<double> requested(scratch_cycles());
-    const timing::FixedPointPeriod* fx = fx_.has_value() ? &*fx_ : nullptr;
+    std::vector<double> granted(any_stateful ? scratch_cycles() : 0);
 
 #ifndef FOCS_OBS_COMPILE_OUT
     bool instrumented = false;
@@ -656,39 +651,8 @@ std::vector<DcaRunResult> ReplayEvaluationEngine::run_fused(
         fill(begin, end, requested.data());
         ++blocks;
         for (VariantState& variant : variants) {
-            if (variant.generator == nullptr && kernels_ != nullptr) {
-                // Ideal variant: the whole grant/integrate/safety pass is a
-                // block reduction over the shared request array.
-                kernels_->reduce_ideal(requested.data(), unit, scale, kViolationTolerancePs,
-                                       begin, end - begin, &variant.total_time_ps,
-                                       &variant.violations, &variant.worst_violation_ps);
-            } else if (variant.generator != nullptr && fx != nullptr) {
-                for (std::size_t c = begin; c < end; ++c) {
-                    const double granted =
-                        variant.generator->grant_period_ps(requested[c - begin]);
-                    variant.total_time_ps += granted;
-                    const double required = (*fx)(c);
-                    if (granted + kViolationTolerancePs < required) {
-                        ++variant.violations;
-                        variant.worst_violation_ps =
-                            std::max(variant.worst_violation_ps, required - granted);
-                    }
-                }
-            } else {
-                for (std::size_t c = begin; c < end; ++c) {
-                    const double request = requested[c - begin];
-                    const double granted = variant.generator != nullptr
-                                               ? variant.generator->grant_period_ps(request)
-                                               : request;
-                    variant.total_time_ps += granted;
-                    const double required = unit[c] * scale;
-                    if (granted + kViolationTolerancePs < required) {
-                        ++variant.violations;
-                        variant.worst_violation_ps =
-                            std::max(variant.worst_violation_ps, required - granted);
-                    }
-                }
-            }
+            walk_block(variant.generator, requested.data(), granted.data(), begin, end,
+                       variant.totals);
         }
     }
 
@@ -712,14 +676,7 @@ std::vector<DcaRunResult> ReplayEvaluationEngine::run_fused(
     std::vector<DcaRunResult> results;
     results.reserve(variants.size());
     for (const VariantState& variant : variants) {
-        DcaRunResult result = finish_run(
-            policy->name(),
-            variant.generator != nullptr ? variant.generator->name()
-                                         : clocking::IdealClockGenerator().name(),
-            cycles, variant.total_time_ps, delays_.static_period_ps, variant.violations,
-            variant.worst_violation_ps);
-        result.guest = trace_->guest;
-        results.push_back(std::move(result));
+        results.push_back(finish(policy->name(), variant.generator, variant.totals));
     }
     return results;
 }

@@ -5,29 +5,32 @@
 // PolicyKind is a pure function of the trace's stage-major occupancy-key
 // rows and the delay table, so each kind gets a devirtualized kernel that
 // fills whole trace blocks of requests with plain indexed loads (no
-// virtual dispatch, no CycleRecord reconstruction); the grant/integrate/
-// safety-check pass then walks the block sequentially (clock generators
-// are stateful). The required-period ground truth is consumed as a
-// ScaledTraceDelays view — the trace's voltage-free unit array plus the
-// operating point's delay scale — so every voltage point of a sweep shares
-// one resident array and the safety check is one multiply per cycle.
-// Custom ClockPolicy objects fall back to the generic DcaEngine::replay
-// walk. Every path produces DcaRunResults byte-identical to a live
-// DcaEngine::run of the same cell at any block size.
+// virtual dispatch, no CycleRecord reconstruction). The grant/integrate/
+// safety-check pass is a block operation too: a stateful clock generator
+// grants a whole block in one ClockGenerator::grant_block call, and the
+// grants go through the same block reduction the ideal generator uses,
+// which sums the time integral in strict cycle order. The required-period
+// ground truth is consumed as a ScaledTraceDelays view — the trace's
+// voltage-free unit array plus the operating point's delay scale — so every
+// voltage point of a sweep shares one resident array and the safety check
+// is one multiply per cycle. Custom ClockPolicy objects fall back to the
+// generic DcaEngine::replay walk. Every path produces DcaRunResults
+// byte-identical to a live DcaEngine::run of the same cell at any block
+// size.
 //
-// The block fills dispatch through a kernel table (replay_kernels.hpp):
-// explicit SIMD (AVX2/NEON) when compiled in and supported, a portable
-// scalar table otherwise, and — under ReplayOptions::force_scalar — the
-// original handwritten reference loops. The sequential generator walk
-// reads its required period through a fixed-point mult+shift evaluator
-// (timing::FixedPointPeriod) that is bit-exact against the double path.
-// All of these are byte-identity-preserving; force_scalar exists as the
-// escape hatch and as the baseline the tests diff against.
+// The block fills and reductions dispatch through a kernel table
+// (replay_kernels.hpp): explicit SIMD (AVX2/NEON) when compiled in and
+// supported, a portable scalar table otherwise, and — under
+// ReplayOptions::force_scalar — the original handwritten per-cycle
+// reference loops. All of these are byte-identity-preserving;
+// force_scalar exists as the escape hatch and as the baseline the tests
+// diff against.
 #pragma once
 
 #include <array>
 #include <cstddef>
-#include <optional>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -65,8 +68,8 @@ struct ReplayOptions {
     /// Instrumentation of the block loop (never affects results).
     ReplayObsMode obs = ReplayObsMode::kAuto;
     /// Pin the handwritten scalar reference path (CLI --no-simd): no SIMD
-    /// kernel table, no branch-free mask kernel, no fixed-point period
-    /// arithmetic. Results are byte-identical either way — this is the
+    /// kernel table, no branch-free mask kernel, no block grant call (the
+    /// generator is asked cycle by cycle). Results are byte-identical either way — this is the
     /// escape hatch and the baseline the scalar==SIMD tests diff against.
     bool force_scalar = false;
     /// Optional cooperative cancellation, polled once per block (never per
@@ -121,6 +124,28 @@ public:
     const char* kernels_name() const { return kernels_ != nullptr ? kernels_->name : "reference"; }
 
 private:
+    /// Running figures of one (policy, generator) replay.
+    struct RunTotals {
+        double total_time_ps = 0;
+        std::uint64_t violations = 0;
+        double worst_violation_ps = 0;
+    };
+
+    /// Grant/integrate/safety pass of one generator over one filled block
+    /// (requests of cycles [begin, end)), shared by replay_blocks_impl and
+    /// run_fused. On the kernel-table path a stateful generator grants the
+    /// block into `granted` (block scratch; unused for the ideal generator)
+    /// and the grants take the kernel table's reduce_ideal; under
+    /// force_scalar it is the per-cycle reference loop.
+    void walk_block(clocking::ClockGenerator* generator, const double* requested,
+                    double* granted, std::size_t begin, std::size_t end,
+                    RunTotals& totals) const;
+
+    /// Packs one replay's totals into the live engine's result shape.
+    DcaRunResult finish(const std::string& policy_name,
+                        const clocking::ClockGenerator* generator,
+                        const RunTotals& totals) const;
+
     /// Dispatches to replay_blocks_impl<true/false> per ReplayObsMode (one
     /// branch per run; the cycle loop itself is branch-free either way).
     /// `gather_stages` (optional) describes a fill that is a pure
@@ -150,8 +175,8 @@ private:
                                      double slow_period_ps) const;
 
     /// One block's worth of per-cycle scratch, clamped to the trace length
-    /// — the single sizing rule for every scratch buffer (requested-period
-    /// block, reference-path any_slow), so block-size-1 runs allocate
+    /// — the single sizing rule for every scratch buffer (requested- and
+    /// granted-period blocks, reference-path any_slow), so block-size-1 runs allocate
     /// exactly one element per buffer. Never zero: .data() must stay
     /// dereferenceable on empty traces.
     std::size_t scratch_cycles() const;
@@ -164,9 +189,6 @@ private:
     /// scalar table otherwise; nullptr iff force_scalar (the handwritten
     /// reference path).
     const ReplayKernels* kernels_ = nullptr;
-    /// Integer mult+shift period evaluator (bit-exact vs the double path);
-    /// engaged on the kernel-table path when the view resolves.
-    std::optional<timing::FixedPointPeriod> fx_;
     /// Stage-major transpose of the fallback-resolved delay table
     /// (DelayTable::effective is key-major) so each gather reads one
     /// contiguous per-stage value row.

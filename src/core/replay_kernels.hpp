@@ -44,13 +44,14 @@ struct ReplayKernels {
     /// out[i] = fl(in[i] * factor), elementwise; `in` may alias `out`
     /// (the genie fill and the approx-lut compression multiply).
     void (*scale)(const double* in, double factor, std::size_t count, double* out);
-    /// Grant/integrate/safety reduction of one ideal-generator block
-    /// (granted == requested): *total accumulates requested[i] in strict
-    /// cycle order; a violation whenever fl(requested[i] + tolerance) <
-    /// fl(unit[begin+i] * scale), with *worst maxed over the violating
-    /// fl(required - requested) deltas. Bitwise the same figures as the
+    /// Integrate/safety reduction of one block of granted periods (the
+    /// requests themselves for the ideal generator, a stateful generator's
+    /// grant_block output otherwise): *total accumulates granted[i] in
+    /// strict cycle order; a violation whenever fl(granted[i] + tolerance)
+    /// < fl(unit[begin+i] * scale), with *worst maxed over the violating
+    /// fl(required - granted) deltas. Bitwise the same figures as the
     /// scalar per-cycle loop at any block size.
-    void (*reduce_ideal)(const double* requested, const double* unit, double scale,
+    void (*reduce_ideal)(const double* granted, const double* unit, double scale,
                          double tolerance, std::size_t begin, std::size_t count, double* total,
                          std::uint64_t* violations, double* worst);
     /// Fused gather_max + reduce_ideal in one pass, for ideal-generator

@@ -106,8 +106,8 @@ struct SweepCell {
 struct SweepRunOptions {
     FailureMode failure_mode = FailureMode::kKeepGoing;
     /// Pin replay cells to the scalar reference path (CLI --no-simd): no
-    /// SIMD kernel table, no fixed-point period arithmetic. Never affects
-    /// results — replay is byte-identical either way.
+    /// SIMD kernel table. Never affects results — replay is byte-identical
+    /// either way.
     bool force_scalar_replay = false;
     /// Characterize every operating point with the full per-voltage
     /// gate-level flow (CLI --reference-characterization) instead of
@@ -139,8 +139,10 @@ struct SweepMetrics {
     double cell_wall_ms_p50 = 0;
     double cell_wall_ms_p95 = 0;
     double cell_wall_ms_max = 0;
-    /// Sum of every cell's queue_wait_ms — the scheduling overhead the
-    /// pool paid on top of the evaluation work.
+    /// Sum of every cell's queue_wait_ms, i.e. of each cell's dequeue
+    /// offset from the sweep start. It grows with cells x sweep wall time
+    /// (a cell dequeued late waited for the cells ahead of it), so it is a
+    /// queue-position figure, not the pool's scheduling overhead.
     double queue_wait_ms_total = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "timing/trace_delays.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
@@ -73,70 +71,6 @@ UnitTraceDelays compute_unit_trace_delays(const DelayCalculator& calculator,
     return out;
 }
 
-PeriodScale PeriodScale::of(double scale) {
-    PeriodScale out;
-    if (std::fpclassify(scale) != FP_NORMAL || scale <= 0.0) return out;
-    int exponent = 0;
-    // frexp is exact: frac in [0.5, 1) carries the full 53-bit significand,
-    // so shifting it up 53 bits yields an integer in [2^52, 2^53).
-    const double frac = std::frexp(scale, &exponent);
-    const double significand = std::ldexp(frac, 53);
-    if (significand != std::floor(significand)) return out;
-    out.mult = static_cast<std::uint64_t>(significand);
-    out.exp2 = exponent - 53;
-    // Round-trip check pins the decomposition as exact (it always is for a
-    // normal double, but the integer hot path's correctness rides on it).
-    out.valid = static_cast<double>(out.mult) * std::ldexp(1.0, out.exp2) == scale;
-    return out;
-}
-
-std::optional<FixedPointPeriod> FixedPointPeriod::resolve(const ScaledTraceDelays& delays) {
-#if !defined(__SIZEOF_INT128__)
-    (void)delays;
-    return std::nullopt;
-#else
-    if (delays.unit == nullptr) return std::nullopt;
-    const PeriodScale scale = delays.period_scale.valid
-                                  ? delays.period_scale
-                                  : PeriodScale::of(delays.delay_scale);
-    if (!scale.valid) return std::nullopt;
-    const std::vector<double>& unit = delays.unit->unit_required_period_ps;
-    double max_value = 0.0;
-    for (const double v : unit) {
-        if (!std::isfinite(v) || v < 0.0) return std::nullopt;
-        max_value = std::max(max_value, v);
-    }
-    FixedPointPeriod out;
-    // Place the largest element at 63 bits; every element then quantizes
-    // exactly iff its binade is within ~10 of the maximum (a 53-bit
-    // significand shifted down by the binade gap), which physical delay
-    // arrays satisfy by a wide margin. The round trip below catches any
-    // exception and falls back wholesale.
-    out.frac_bits_ = max_value > 0.0 ? 62 - std::ilogb(max_value) : 0;
-    constexpr double kTwo63 = 9223372036854775808.0;  // 2^63
-    out.fx_.resize(unit.size());
-    for (std::size_t c = 0; c < unit.size(); ++c) {
-        const double quantized = std::ldexp(unit[c], out.frac_bits_);
-        if (!(quantized >= 0.0) || quantized >= kTwo63) return std::nullopt;
-        const auto fx = static_cast<std::uint64_t>(quantized);
-        if (static_cast<double>(fx) != quantized) return std::nullopt;
-        out.fx_[c] = fx;
-    }
-    out.mult_ = scale.mult;
-    const int base_exp2 = scale.exp2 - out.frac_bits_;
-    for (int drop = 0; drop < 64; ++drop) {
-        out.pow2_[static_cast<std::size_t>(drop)] = std::ldexp(1.0, base_exp2 + drop);
-    }
-    // The power-of-two step must itself be exact (normal) over the whole
-    // drop range, or the final multiply would round twice.
-    if (std::fpclassify(out.pow2_[0]) != FP_NORMAL ||
-        std::fpclassify(out.pow2_[63]) != FP_NORMAL) {
-        return std::nullopt;
-    }
-    return out;
-#endif
-}
-
 ScaledTraceDelays scale_trace_delays(std::shared_ptr<const UnitTraceDelays> unit,
                                      const DelayCalculator& calculator) {
     check(unit != nullptr, "cannot scale a null unit trace-delay artifact");
@@ -144,7 +78,6 @@ ScaledTraceDelays scale_trace_delays(std::shared_ptr<const UnitTraceDelays> unit
     scaled.unit = std::move(unit);
     scaled.delay_scale = calculator.voltage_scale();
     scaled.static_period_ps = calculator.static_period_ps();
-    scaled.period_scale = PeriodScale::of(scaled.delay_scale);
     return scaled;
 }
 

@@ -15,11 +15,8 @@
 // of V copies.
 #pragma once
 
-#include <array>
-#include <bit>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "sim/cycle_record.hpp"
@@ -73,23 +70,6 @@ struct UnitTraceDelays {
     }
 };
 
-/// Fixed-point decomposition of one operating point's delay scale, in the
-/// style of the Linux cyc2ns mult+shift (`cyc2ns_scale`): the positive
-/// normal double `scale` is split exactly into a 53-bit integer significand
-/// and a power-of-two exponent, scale == mult * 2^exp2 with mult in
-/// [2^52, 2^53). Unlike cyc2ns the decomposition is lossless (a double has
-/// exactly 53 significand bits), which is what lets the integer hot path
-/// reproduce the double path bit for bit instead of merely approximating
-/// it. `valid` is false for zero/subnormal/inf/NaN scales — consumers then
-/// stay on the double path.
-struct PeriodScale {
-    std::uint64_t mult = 0;
-    int exp2 = 0;
-    bool valid = false;
-
-    static PeriodScale of(double scale);
-};
-
 /// One operating point's view of a shared UnitTraceDelays: the unit array
 /// plus the point's delay scale. Copyable (a shared_ptr and two doubles);
 /// safe to hand to replay workers by value.
@@ -100,10 +80,6 @@ struct ScaledTraceDelays {
     /// STA period at the operating point, bit-identical to
     /// DelayCalculator::static_period_ps() of the same design.
     double static_period_ps = 0;
-    /// Fixed-point mult+shift form of delay_scale, precomputed once per
-    /// operating point by scale_trace_delays (the replay engine's integer
-    /// hot path consumes it through FixedPointPeriod::resolve).
-    PeriodScale period_scale;
 
     /// Minimum safe clock period of trace cycle c at this operating point;
     /// bit-identical to compute_trace_delays(...).required_period_ps[c].
@@ -115,77 +91,6 @@ struct ScaledTraceDelays {
 
     /// Materializes the per-voltage flat array (reference/offline form).
     TraceDelays materialize() const;
-};
-
-/// Integer mult+shift evaluator of one ScaledTraceDelays view, bit-exact
-/// against the double path: operator()(c) returns the very same double as
-/// required_period_ps(c) — fl(unit[c] * delay_scale) — for every cycle.
-///
-/// Why this is exact rather than approximate: resolve() quantizes the unit
-/// array to unsigned 64-bit fixed point at F fractional bits, choosing F
-/// from the array's maximum so the largest value uses 63 bits. Physical
-/// unit periods span only a few binades, so every element is *exactly*
-/// representable at that F (checked element-wise via an ldexp round trip;
-/// any miss invalidates the whole resolve). The delay scale is split
-/// exactly by PeriodScale into mult * 2^exp2. The hot path then computes
-/// fx[c] * mult in 128-bit integer arithmetic — the mathematically exact
-/// product — rounds it to 53 significand bits with IEEE round-to-nearest-
-/// even, and applies the power-of-two exponent with one exact multiply
-/// from a precomputed table. That is, by construction, precisely what the
-/// hardware double multiply computes; the identity is independent of libm,
-/// compiler, or host (and is additionally pinned empirically by
-/// tests/test_replay.cpp over every benchmark kernel at a dense voltage
-/// grid).
-///
-/// resolve() returns nullopt — and callers keep the double path — when the
-/// platform lacks a 128-bit integer type, the scale is not a positive
-/// normal double, the unit array does not quantize exactly (binade spread
-/// too wide), or the exponent range would leave normal-double territory.
-class FixedPointPeriod {
-public:
-    static std::optional<FixedPointPeriod> resolve(const ScaledTraceDelays& delays);
-
-    /// Bit-identical to ScaledTraceDelays::required_period_ps(c).
-    double operator()(std::uint64_t c) const {
-#if defined(__SIZEOF_INT128__)
-        const unsigned __int128 product =
-            static_cast<unsigned __int128>(fx_[c]) * mult_;
-        if (product == 0) return 0.0;
-        const auto hi = static_cast<std::uint64_t>(product >> 64);
-        const auto lo = static_cast<std::uint64_t>(product);
-        const int bits = hi != 0 ? 64 + std::bit_width(hi) : std::bit_width(lo);
-        const int drop = bits > 53 ? bits - 53 : 0;
-        auto keep = static_cast<std::uint64_t>(product >> drop);
-        if (drop > 0) {
-            // Round to nearest, ties to even — the carry can push keep to
-            // 2^53, which is still exactly representable.
-            const unsigned __int128 remainder =
-                product - (static_cast<unsigned __int128>(keep) << drop);
-            const unsigned __int128 half = static_cast<unsigned __int128>(1) << (drop - 1);
-            if (remainder > half || (remainder == half && (keep & 1) != 0)) ++keep;
-        }
-        return static_cast<double>(keep) * pow2_[static_cast<std::size_t>(drop)];
-#else
-        // Unreachable: resolve() never yields an instance without __int128.
-        (void)c;
-        return 0.0;
-#endif
-    }
-
-    std::uint64_t cycles() const { return static_cast<std::uint64_t>(fx_.size()); }
-    int frac_bits() const { return frac_bits_; }
-
-private:
-    /// unit_required_period_ps quantized at frac_bits_ (exact by checked
-    /// construction).
-    std::vector<std::uint64_t> fx_;
-    /// 53-bit significand of the delay scale (PeriodScale::mult).
-    std::uint64_t mult_ = 0;
-    int frac_bits_ = 0;
-    /// pow2_[drop] = 2^(exp2 - frac_bits + drop): the exact power-of-two
-    /// step for every possible rounding shift (the 128-bit product of a
-    /// 63-bit and a 53-bit integer never exceeds 116 bits, so drop <= 63).
-    std::array<double, 64> pow2_{};
 };
 
 /// Evaluates the delay model over every recorded cycle once, at the

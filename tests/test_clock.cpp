@@ -1,8 +1,17 @@
 // Clock generator tests: request/grant contracts of all CG models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "clock/clock_generator.hpp"
 #include "common/error.hpp"
+#include "timing/delay_model.hpp"
+#include "timing/design_config.hpp"
 
 namespace focs::clocking {
 namespace {
@@ -49,6 +58,132 @@ TEST(Quantized, RejectsBadConfig) {
     EXPECT_THROW(QuantizedClockGenerator(0.0, 100.0, 4), Error);
     EXPECT_THROW(QuantizedClockGenerator(200.0, 100.0, 4), Error);
     EXPECT_THROW(QuantizedClockGenerator(100.0, 200.0, 0), Error);
+}
+
+/// Bitwise equality (distinguishes -0.0 and compares NaN payloads).
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Asserts grant_block == per-call grant_period_ps (lower_bound), bit for
+/// bit, on requests at, one ulp either side of, below and above every tap.
+void expect_block_matches_lower_bound(QuantizedClockGenerator& cg) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const double lo = cg.taps().front();
+    const double hi = cg.taps().back();
+    std::vector<double> requests = {0.0, -0.0, -1.0, 1e-300, 0.5 * lo, std::nextafter(lo, 0.0),
+                                    2.0 * hi, kInf, -kInf};
+    for (const double tap : cg.taps()) {
+        requests.push_back(tap);
+        requests.push_back(std::nextafter(tap, kInf));
+        requests.push_back(std::nextafter(tap, -kInf));
+    }
+    std::vector<double> block(requests.size());
+    cg.grant_block(requests.data(), requests.size(), block.data());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const double expected = cg.grant_period_ps(requests[i]);
+        EXPECT_TRUE(same_bits(block[i], expected))
+            << "request " << requests[i] << ": block " << block[i] << " vs " << expected;
+    }
+    // In-place form (out aliases requested).
+    std::vector<double> in_place = requests;
+    cg.grant_block(in_place.data(), in_place.size(), in_place.data());
+    EXPECT_EQ(0, std::memcmp(in_place.data(), block.data(), block.size() * sizeof(double)));
+}
+
+TEST(Quantized, GrantBlockMatchesLowerBoundBitForBit) {
+    // The block call computes the tap index from the equal spacing instead
+    // of searching; it must still land on the very tap lower_bound finds,
+    // including for requests sitting exactly on, or one ulp either side
+    // of, a tap whose value the spacing arithmetic rounds.
+    std::vector<double> statics = {2026.0, 1000.0, 1234.5678, 333.3};
+    for (const double voltage : {0.60, 0.65, 0.70, 0.75, 0.80}) {  // sweep_cold grid
+        timing::DesignConfig design;
+        design.voltage_v = voltage;
+        statics.push_back(timing::DelayCalculator(design).static_period_ps());
+    }
+    for (const double static_period : statics) {
+        for (int num_taps = 1; num_taps <= 64; ++num_taps) {
+            SCOPED_TRACE(std::to_string(static_period) + "/" + std::to_string(num_taps));
+            QuantizedClockGenerator cg =
+                QuantizedClockGenerator::for_static_period(static_period, num_taps);
+            expect_block_matches_lower_bound(cg);
+        }
+    }
+}
+
+TEST(Quantized, GrantBlockMatchesLowerBoundOnDegenerateSpacing) {
+    // A wide tap range, and one whose spacing is a fraction of an ulp: the
+    // rounded taps repeat and the index estimate lands many taps off.
+    const double lo = 1000.0;
+    for (const double hi : {1e6, std::nextafter(lo, 2 * lo)}) {
+        for (int num_taps = 1; num_taps <= 64; ++num_taps) {
+            SCOPED_TRACE(std::to_string(hi) + "/" + std::to_string(num_taps));
+            QuantizedClockGenerator cg(lo, hi, num_taps);
+            expect_block_matches_lower_bound(cg);
+        }
+    }
+}
+
+TEST(PllBank, GrantBlockCarriesDwellAcrossBlocks) {
+    // One request stream, granted per call and in blocks of 1, 3 and 4096:
+    // the dwell state must carry across block boundaries, and a reset()
+    // partway through must re-arm both forms identically.
+    std::vector<double> stream;
+    std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+    for (int i = 0; i < 5000; ++i) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        // Runs of equal requests interleaved with jumps, so dwell gating
+        // both holds back and releases speed-ups.
+        const double level = 900.0 + static_cast<double>((state >> 33) % 5) * 275.0;
+        const int run = 1 + static_cast<int>((state >> 20) % 7);
+        for (int r = 0; r < run; ++r) stream.push_back(level);
+    }
+    const std::size_t reset_at = stream.size() / 2 + 1;
+    const auto make = [] {
+        return PllBankClockGenerator({1000.0, 1300.0, 1500.0, 2000.0}, /*min_dwell_cycles=*/4);
+    };
+    std::vector<double> expected(stream.size());
+    PllBankClockGenerator per_call = make();
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        if (i == reset_at) per_call.reset();
+        expected[i] = per_call.grant_period_ps(stream[i]);
+    }
+    for (const std::size_t block : {std::size_t{1}, std::size_t{3}, std::size_t{4096}}) {
+        SCOPED_TRACE(block);
+        PllBankClockGenerator cg = make();
+        std::vector<double> granted(stream.size());
+        const auto grant_range = [&](std::size_t begin, std::size_t end) {
+            for (std::size_t b = begin; b < end; b += block) {
+                const std::size_t n = std::min(block, end - b);
+                cg.grant_block(stream.data() + b, n, granted.data() + b);
+            }
+        };
+        grant_range(0, reset_at);
+        cg.reset();
+        grant_range(reset_at, stream.size());
+        EXPECT_EQ(0, std::memcmp(granted.data(), expected.data(),
+                                 expected.size() * sizeof(double)));
+    }
+}
+
+TEST(ClockGenerator, DefaultGrantBlockLoopsOverPerCycleCall) {
+    // A generator that only implements grant_period_ps still serves the
+    // block call, in order, with its state carried between calls.
+    class Counting final : public ClockGenerator {
+    public:
+        double grant_period_ps(double requested_ps) override { return requested_ps + calls_++; }
+        void reset() override { calls_ = 0; }
+        std::string name() const override { return "counting"; }
+
+    private:
+        int calls_ = 0;
+    };
+    Counting cg;
+    const std::vector<double> requests = {10.0, 20.0, 30.0};
+    std::vector<double> out(requests.size());
+    cg.grant_block(requests.data(), requests.size(), out.data());
+    EXPECT_EQ(out, (std::vector<double>{10.0, 21.0, 32.0}));
+    cg.grant_block(requests.data(), 1, out.data());
+    EXPECT_DOUBLE_EQ(out[0], 13.0);
 }
 
 TEST(PllBank, SlowingDownIsImmediate) {

@@ -8,8 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -383,13 +381,13 @@ TEST(TraceDelays, OneUnitPassServesEveryVoltageBitIdentically) {
 TEST(Replay, ScalarReferenceAndSimdKernelsAreByteIdentical) {
     // The tentpole contract of the vectorized kernels: the default engine
     // (SIMD kernel table when compiled + supported, portable scalar table
-    // otherwise, fixed-point period arithmetic either way) must reproduce
-    // the force_scalar reference path byte for byte — for all 7 policy
-    // kinds, across block sizes including single-cycle blocks and one
-    // block spanning the whole trace, at two operating points (the second
-    // voltage exercises a non-nominal delay scale through the fixed-point
-    // mult+shift). The stateful PLL generator is the sharpest detector of
-    // any divergence in the grant/integrate order.
+    // otherwise, block clock grants either way) must reproduce the
+    // force_scalar reference path byte for byte — for all 7 policy kinds,
+    // across block sizes including single-cycle blocks and one block
+    // spanning the whole trace, at two operating points (the second
+    // voltage exercises a non-nominal delay scale). The stateful PLL
+    // generator is the sharpest detector of any divergence in the grant/
+    // integrate order.
     const ReplayFixture& f = fixture();
     const timing::CellLibrary& library = timing::CellLibrary::fdsoi28();
     const double nominal_scale = library.delay_scale(timing::DesignConfig{}.voltage_v);
@@ -423,66 +421,6 @@ TEST(Replay, ScalarReferenceAndSimdKernelsAreByteIdentical) {
                                      kernels.run(kind, generator_b.get()));
                 }
             }
-        }
-    }
-}
-
-TEST(TraceDelays, PeriodScaleDecomposesExactly) {
-    for (const double scale : {1.0, 0.7315, 1.6180339887, 2.25e-3, 317.5}) {
-        const timing::PeriodScale decomposed = timing::PeriodScale::of(scale);
-        ASSERT_TRUE(decomposed.valid) << scale;
-        // mult carries a full 53-bit significand and the mult+shift
-        // recomposition is exact — not an approximation like cyc2ns.
-        EXPECT_GE(decomposed.mult, std::uint64_t{1} << 52);
-        EXPECT_LT(decomposed.mult, std::uint64_t{1} << 53);
-        EXPECT_EQ(static_cast<double>(decomposed.mult) * std::ldexp(1.0, decomposed.exp2),
-                  scale);
-    }
-    EXPECT_FALSE(timing::PeriodScale::of(0.0).valid);
-    EXPECT_FALSE(timing::PeriodScale::of(-1.0).valid);
-    EXPECT_FALSE(timing::PeriodScale::of(std::numeric_limits<double>::infinity()).valid);
-    EXPECT_FALSE(timing::PeriodScale::of(std::numeric_limits<double>::quiet_NaN()).valid);
-}
-
-TEST(TraceDelays, FixedPointPeriodMatchesDoublePathOnEveryBenchmarkKernel) {
-    // The fixed-point proof: for every benchmark kernel at a dense voltage
-    // grid, the integer mult+shift evaluator must resolve and reproduce
-    // fl(unit * delay_scale) bit for bit on every cycle — no tolerances,
-    // and no silent skips (a failed resolve would demote the hot loop to
-    // the double path, so it fails the test). Prefix-truncated traces keep
-    // the grid fast; the identity is per-cycle, so a prefix proves the
-    // same thing.
-    constexpr double kVoltages[] = {0.50, 0.54, 0.58, 0.62, 0.66, 0.70,
-                                    0.74, 0.78, 0.82, 0.86, 0.90};
-    constexpr std::size_t kMaxCycles = 3000;
-    for (const auto& kernel : workloads::benchmark_suite()) {
-        SCOPED_TRACE(kernel.name);
-        const auto program = assembler::assemble(kernel.source);
-        const sim::PipelineTrace trace = sim::record_trace(program);
-        const std::vector<sim::CycleRecord> records(
-            trace.records.begin(),
-            trace.records.begin() +
-                static_cast<std::ptrdiff_t>(std::min(kMaxCycles, trace.records.size())));
-        timing::DesignConfig design;
-        const auto unit = std::make_shared<const timing::UnitTraceDelays>(
-            timing::compute_unit_trace_delays(timing::DelayCalculator(design), records));
-        for (const double voltage : kVoltages) {
-            SCOPED_TRACE(voltage);
-            design.voltage_v = voltage;
-            const timing::ScaledTraceDelays scaled =
-                timing::scale_trace_delays(unit, timing::DelayCalculator(design));
-            ASSERT_TRUE(scaled.period_scale.valid);
-            const auto fixed = timing::FixedPointPeriod::resolve(scaled);
-            ASSERT_TRUE(fixed.has_value());
-            ASSERT_EQ(fixed->cycles(), scaled.cycles());
-            std::vector<double> via_fixed(records.size());
-            std::vector<double> via_double(records.size());
-            for (std::size_t c = 0; c < records.size(); ++c) {
-                via_fixed[c] = (*fixed)(c);
-                via_double[c] = scaled.required_period_ps(c);
-            }
-            // Element-exact vector equality: one comparison per grid point.
-            EXPECT_EQ(via_fixed, via_double);
         }
     }
 }

@@ -119,8 +119,8 @@ using namespace focs;
                  "                          'build.delay_table:0.3:seed=7' (FOCS_FAULT\n"
                  "                          environment variable works too)\n"
                  "      --no-simd:          replay on the scalar reference path (no SIMD\n"
-                 "                          kernels, no fixed-point clock arithmetic);\n"
-                 "                          results are byte-identical either way\n"
+                 "                          kernels, no block clock grants); results are\n"
+                 "                          byte-identical either way\n"
                  "      --reference-characterization:\n"
                  "                          characterize every voltage point from scratch\n"
                  "                          instead of scaling one nominal delay table;\n"
@@ -506,7 +506,8 @@ int cmd_sweep(const std::vector<std::string>& args) {
         json_out << runtime::to_json(result, /*include_timing=*/!flag_present(args, "--canonical"));
         std::printf("results written to %s\n", path->c_str());
     }
-    std::printf("cell wall ms: p50 %.2f, p95 %.2f, max %.2f; queue wait total %.1f ms\n",
+    std::printf("cell wall ms: p50 %.2f, p95 %.2f, max %.2f; sum of cell dequeue offsets "
+                "%.1f ms\n",
                 result.metrics.cell_wall_ms_p50, result.metrics.cell_wall_ms_p95,
                 result.metrics.cell_wall_ms_max, result.metrics.queue_wait_ms_total);
     obs_emit(args, engine.cache().get());
