@@ -31,6 +31,44 @@ struct SweepJob {
     timing::DesignConfig design;
 };
 
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
+}
+
+/// What one replay column's cells acquired: each cell's delay-table future
+/// (unset when the cell was drained or failed before it fetched one) and
+/// the trace and unit-delay futures the column replays over.
+struct ColumnArtifacts {
+    std::vector<std::optional<std::shared_future<dta::DelayTable>>> tables;
+    std::shared_future<sim::PipelineTrace> trace;
+    std::shared_future<std::shared_ptr<const timing::UnitTraceDelays>> unit_delays;
+    /// Wall time of a kernel leader's acquire unit; 0 for other columns.
+    double acquire_ms = 0;
+};
+
+/// A kernel leader's artifacts, filled by its acquire unit and handed to
+/// its column unit once `acquired` is set.
+struct LeaderSlot {
+    ColumnArtifacts artifacts;
+    std::atomic<bool> acquired{false};
+};
+
+/// Releases a leader's handoff when its acquire unit leaves scope, on every
+/// exit path (return, fail-fast abort, throw), so the column unit waiting
+/// on it never blocks forever.
+struct HandoffRelease {
+    LeaderSlot& slot;
+    Clock::time_point dequeued;
+
+    ~HandoffRelease() {
+        slot.artifacts.acquire_ms = ms_since(dequeued);
+        slot.acquired.store(true, std::memory_order_release);
+        slot.acquired.notify_all();
+    }
+};
+
 /// Nearest-rank percentile of an already-sorted ascending sample vector.
 double nearest_rank(const std::vector<double>& sorted, double percentile) {
     if (sorted.empty()) return 0;
@@ -122,7 +160,7 @@ dta::AnalyzerConfig SweepEngine::analyzer_config_for(const SweepSpec& spec) {
 }
 
 SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& options) const {
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = Clock::now();
     const SweepSpec spec = raw_spec.resolved();
     check(!spec.kernels.empty(), "sweep has no kernels");
 
@@ -160,34 +198,51 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
         }
     }
 
-    // Generator fusion: the expansion above is generator-innermost, so the
-    // cells of one (voltage, kernel, policy) column sit at adjacent
-    // indices. In replay mode the pool schedules whole columns and fuses
-    // each column's variants into a single pass over the shared trace (one
-    // request fill serving every generator — the request array depends only
-    // on the policy); live mode and single-variant columns evaluate per
-    // cell. Either way every cell's result is byte-identical.
+    // Scheduling units. Live mode schedules one unit per cell. Replay mode
+    // schedules (voltage, kernel, policy) columns: the expansion above is
+    // generator-innermost, so a column's cells sit at adjacent indices, and
+    // one fused pass over the shared trace serves every generator variant
+    // of the column (one request fill; the request array depends only on
+    // the policy). Either way every cell's result is byte-identical.
     const std::size_t group_size = std::max<std::size_t>(1, spec.generators.size());
-    const bool fuse_columns = mode_ == EvalMode::kReplay && group_size > 1;
-    const std::size_t unit_count =
+    const bool fuse_columns = mode_ == EvalMode::kReplay;
+    const std::size_t column_count =
         fuse_columns ? jobs_list.size() / group_size : jobs_list.size();
+
+    // Kernel leaders (replay only): a kernel's first column in declaration
+    // order. Each leader gets an acquire-only unit ahead of every column
+    // unit, so the pool's first units elect the nominal characterization
+    // and record every kernel's trace and unit delays side by side instead
+    // of queueing behind the table on kernel 0's columns.
+    constexpr std::size_t kNoLeader = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> leader_columns;
+    std::vector<std::size_t> leader_of(fuse_columns ? column_count : 0, kNoLeader);
+    std::set<std::string> led_kernels;
+    for (std::size_t group = 0; group < leader_of.size(); ++group) {
+        if (led_kernels.insert(jobs_list[group * group_size].kernel).second) {
+            leader_of[group] = leader_columns.size();
+            leader_columns.push_back(group);
+        }
+    }
+    std::vector<LeaderSlot> leaders(leader_columns.size());
+    const std::size_t unit_count = leaders.size() + column_count;
 
     // Jobs precedence: explicit engine argument (e.g. a --jobs flag) beats
     // the spec's `jobs =` line, which beats hardware concurrency. The pool
-    // never exceeds the number of schedulable units (cells, or fused
-    // columns).
+    // never exceeds the number of cells (live) or columns (replay).
     int worker_count = jobs_ > 0 ? jobs_ : spec.jobs;
     if (worker_count <= 0) worker_count = static_cast<int>(std::thread::hardware_concurrency());
     if (worker_count <= 0) worker_count = 1;
-    worker_count = std::max(1, std::min<int>(worker_count, static_cast<int>(unit_count)));
+    worker_count = std::max(1, std::min<int>(worker_count, static_cast<int>(column_count)));
 
-    // Intra-flow pipeline parallelism for the characterization artifacts:
-    // when the grid needs few distinct delay tables, most workers block on
-    // the builders' shared_futures with nothing to steal — so hand the
-    // idle parallelism to the batched characterization engine instead. One
-    // operating point and 8 workers means the single characterization flow
-    // runs its endpoint kernel on 8 threads; with as many distinct points
-    // as workers, each flow stays serial and grid parallelism wins.
+    // Intra-flow parallelism for characterization builds: the workers are
+    // divided by the grid's distinct per-voltage design keys and the
+    // quotient becomes the batched characterization engine's thread count.
+    // Only distinct nominal keys actually run a characterization (every
+    // per-voltage table is a scaled view of its nominal table), but the
+    // divisor still counts voltages, so any grid with at least as many
+    // voltages as workers characterizes on one thread. A one-voltage grid
+    // on 8 workers runs its single characterization on 8 threads.
     std::set<std::string> operating_points;
     for (const SweepJob& job : jobs_list) {
         operating_points.insert(ArtifactCache::design_key(job.design, analyzer_config));
@@ -209,25 +264,33 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
 
     std::atomic<std::size_t> cursor{0};
     // Set only in fail-fast mode: sibling workers observe it at their next
-    // cell boundary and stop pulling jobs. Keep-going never sets it — a
+    // unit boundary and stop pulling units. Keep-going never sets it — a
     // failing cell must not starve its siblings (each failure stays on its
     // own cell).
     std::atomic<bool> abort_sweep{false};
     std::exception_ptr first_error;
+    // Every exception that failed a cell, held until the pool has joined.
+    // An artifact failure reaches all its waiting cells as one shared
+    // exception object, reference-counted inside the (uninstrumented) C++
+    // runtime; releasing the objects on this thread after the join keeps
+    // the frees ordered after every worker's reads in a
+    // ThreadSanitizer build too.
+    std::vector<std::exception_ptr> failures;
     std::mutex error_mutex;
 
-    // Stores `cell`'s failure as the sweep's first error and aborts the
-    // pool (fail-fast only). Returns true when the caller must stop
-    // pulling work. Fail-fast names the failing cell: the whole point of
-    // aborting early is telling the user where.
-    const auto abort_on_failure = [&](const SweepCell& cell) {
+    // Records the exception being handled as `cell`'s failure. Fail-fast
+    // also stores it as the sweep's first error and aborts the pool.
+    // Returns true when the caller must stop pulling work. Fail-fast names
+    // the failing cell: the whole point of aborting early is telling the
+    // user where.
+    const auto fail_cell = [&](SweepCell& cell, const std::exception& e) {
+        record_failure(cell, e);
+        std::lock_guard<std::mutex> lock(error_mutex);
+        failures.push_back(std::current_exception());
         if (options.failure_mode != FailureMode::kFailFast) return false;
-        {
-            std::lock_guard<std::mutex> lock(error_mutex);
-            if (!first_error) {
-                first_error = std::make_exception_ptr(Error(
-                    "sweep cell " + cell_key(cell) + " failed: " + cell.error, cell.error_code));
-            }
+        if (!first_error) {
+            first_error = std::make_exception_ptr(Error(
+                "sweep cell " + cell_key(cell) + " failed: " + cell.error, cell.error_code));
         }
         abort_sweep.store(true, std::memory_order_relaxed);
         return true;
@@ -237,8 +300,7 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
     // still carry their grid coordinates) and stamps its queue wait: the
     // job was runnable at sweep start, this is how long it sat before a
     // worker reached it.
-    const auto label_cell = [&](std::size_t index,
-                                std::chrono::steady_clock::time_point dequeued) -> SweepCell& {
+    const auto label_cell = [&](std::size_t index, Clock::time_point dequeued) -> SweepCell& {
         const SweepJob& job = jobs_list[index];
         SweepCell& cell = result.cells[index];
         cell.kernel = job.kernel;
@@ -262,11 +324,12 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
         return true;
     };
 
-    // Per-cell evaluation (live mode and single-variant columns). Returns
-    // false when the worker must stop pulling work (fail-fast abort).
+    // Live evaluation of one cell: the full delay-annotated cycle-accurate
+    // pipeline. Returns false when the worker must stop pulling work
+    // (fail-fast abort).
     const auto evaluate_one = [&](std::size_t index) {
         const SweepJob& job = jobs_list[index];
-        const auto dequeued = std::chrono::steady_clock::now();
+        const auto dequeued = Clock::now();
         SweepCell& cell = label_cell(index, dequeued);
         if (drain_if_cancelled(cell)) return true;
         try {
@@ -283,82 +346,43 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
             auto table_future =
                 cache_->delay_table(job.design, analyzer_config, flow_threads, options.cancel,
                                     options.reference_characterization);
+            auto program_future = cache_->program(job.kernel);
+            const assembler::Program& program = program_future.get();
+            const dta::DelayTable& table = table_future.get();
 
-            core::DcaRunResult run;
-            if (mode_ == EvalMode::kReplay) {
-                // Record-once / replay-many: the trace is one guest
-                // simulation per (kernel, machine config), the unit
-                // delay array one fused pass per (kernel, variant) —
-                // voltage-free, so every operating point of the grid
-                // derives a ScaledTraceDelays view (one scalar) from
-                // the same cache-hot array and this cell only pays the
-                // devirtualized policy kernel.
-                auto trace_future = cache_->trace(job.kernel);
-                auto unit_future = cache_->unit_trace_delays(job.kernel, job.design);
-                const sim::PipelineTrace& trace = trace_future.get();
-                const dta::DelayTable& table = table_future.get();
-                const timing::DelayCalculator calculator(job.design);
-                const timing::ScaledTraceDelays delays =
-                    timing::scale_trace_delays(unit_future.get(), calculator);
-
-                const auto generator = job.generator->instantiate(delays.static_period_ps);
-                core::ReplayOptions replay_options;
-                replay_options.cancel = options.cancel;
-                replay_options.force_scalar = options.force_scalar_replay;
-                const core::ReplayEvaluationEngine replay(trace, delays, table, replay_options);
-                run = replay.run(job.policy, job.generator->kind == GeneratorSpec::Kind::kIdeal
-                                                 ? nullptr
-                                                 : generator.get());
-            } else {
-                auto program_future = cache_->program(job.kernel);
-                const assembler::Program& program = program_future.get();
-                const dta::DelayTable& table = table_future.get();
-
-                // Private mutable state: engine, policy and generator
-                // are constructed per job inside evaluate_cell / here.
-                const double static_period_ps =
-                    timing::DelayCalculator(job.design).static_period_ps();
-                const auto generator = job.generator->instantiate(static_period_ps);
-                run = core::evaluate_cell(
-                    job.design, table, program, job.policy,
-                    job.generator->kind == GeneratorSpec::Kind::kIdeal ? nullptr
-                                                                       : generator.get());
-            }
-
-            cell.result = std::move(run);
-            cell.wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - dequeued)
-                               .count();
+            // Private mutable state: engine, policy and generator are
+            // constructed per job inside evaluate_cell / here.
+            const double static_period_ps =
+                timing::DelayCalculator(job.design).static_period_ps();
+            const auto generator = job.generator->instantiate(static_period_ps);
+            cell.result = core::evaluate_cell(
+                job.design, table, program, job.policy,
+                job.generator->kind == GeneratorSpec::Kind::kIdeal ? nullptr : generator.get());
+            cell.wall_ms = ms_since(dequeued);
             cell_span.arg("wall_ms", cell.wall_ms);
         } catch (const std::exception& e) {
-            record_failure(cell, e);
-            cell.wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - dequeued)
-                               .count();
-            if (abort_on_failure(cell)) return false;
+            cell.wall_ms = ms_since(dequeued);
+            if (fail_cell(cell, e)) return false;
         }
         return true;
     };
 
-    // Fused evaluation of one (voltage, kernel, policy) column: every
-    // per-cell isolation point survives — each cell runs its own
-    // cancellation drain, eval.cell fault point, AND artifact acquisition
-    // (fetch + wait), so a poisoned cache entry fails only the cell that
-    // observed it and the next cell re-elects a fresh builder, exactly as
-    // under per-cell scheduling. Only the survivors join the single fused
-    // replay pass (one request fill serving every generator variant).
+    // Per-cell acquisition protocol of one replay column: each cell is
+    // labelled, runs its cancellation drain and eval.cell fault point, and
+    // fetches each artifact class exactly once, so a poisoned cache entry
+    // fails only the cells that observed it and the next cell re-elects a
+    // fresh builder. Only the trace and unit delays are waited on here;
+    // the column unit waits on each cell's table. The table is fetched
+    // first, so the first kernel leader elects the nominal characterization
+    // at sweep start; `table_last` (every later leader) fetches it after
+    // the trace and unit delays instead, so a later leader never holds the
+    // characterization while its own kernel's trace waits behind it.
     // Returns false on fail-fast abort.
-    const auto evaluate_column = [&](std::size_t group) {
-        const std::size_t base = group * group_size;
-        const std::size_t limit = std::min(jobs_list.size(), base + group_size);
-        const auto dequeued = std::chrono::steady_clock::now();
-        std::vector<std::size_t> live;
-        live.reserve(limit - base);
-        std::optional<std::shared_future<dta::DelayTable>> table_future;
-        std::optional<std::shared_future<sim::PipelineTrace>> trace_future;
-        std::optional<std::shared_future<std::shared_ptr<const timing::UnitTraceDelays>>>
-            unit_future;
-        for (std::size_t index = base; index < limit; ++index) {
+    const auto acquire_column = [&](std::size_t group, Clock::time_point dequeued,
+                                    bool table_last, ColumnArtifacts& out) {
+        out.tables.resize(group_size);
+        for (std::size_t k = 0; k < group_size; ++k) {
+            const std::size_t index = group * group_size + k;
             SweepCell& cell = label_cell(index, dequeued);
             if (drain_if_cancelled(cell)) continue;
             const SweepJob& job = jobs_list[index];
@@ -366,25 +390,68 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
                 // The token rides into the inject point so an injected
                 // delay rule cannot stall a cell past its deadline.
                 FOCS_FAULT_POINT_CANCEL("eval.cell", cell_key(cell), options.cancel);
-                // One fetch-and-wait triple per cell keeps the cache's
-                // per-class serving accounting identical to per-cell
-                // scheduling; on success the later fetches alias the
-                // earlier ones (the artifacts are built exactly once).
-                auto cell_table =
-                    cache_->delay_table(job.design, analyzer_config, flow_threads, options.cancel,
-                                        options.reference_characterization);
-                auto cell_trace = cache_->trace(job.kernel);
-                auto cell_unit = cache_->unit_trace_delays(job.kernel, job.design);
-                cell_table.get();
-                cell_trace.get();
-                cell_unit.get();
-                table_future = std::move(cell_table);
-                trace_future = std::move(cell_trace);
-                unit_future = std::move(cell_unit);
+                const auto fetch_table = [&] {
+                    return cache_->delay_table(job.design, analyzer_config, flow_threads,
+                                               options.cancel,
+                                               options.reference_characterization);
+                };
+                std::shared_future<dta::DelayTable> table;
+                if (!table_last) table = fetch_table();
+                auto trace = cache_->trace(job.kernel);
+                auto unit_delays = cache_->unit_trace_delays(job.kernel, job.design);
+                if (table_last) table = fetch_table();
+                trace.get();
+                unit_delays.get();
+                out.tables[k] = std::move(table);
+                out.trace = std::move(trace);
+                out.unit_delays = std::move(unit_delays);
+            } catch (const std::exception& e) {
+                if (fail_cell(cell, e)) return false;
+            }
+        }
+        return true;
+    };
+
+    // Acquire-only unit of one kernel leader. The handoff to the leader's
+    // column unit is released on every exit path.
+    const auto acquire_leader = [&](std::size_t leader) {
+        const auto dequeued = Clock::now();
+        LeaderSlot& slot = leaders[leader];
+        const HandoffRelease release{slot, dequeued};
+        return acquire_column(leader_columns[leader], dequeued, /*table_last=*/leader > 0,
+                              slot.artifacts);
+    };
+
+    // Column unit: acquires the column's artifacts (a leader takes over
+    // what its acquire unit stashed, once handed off), waits on each cell's
+    // table, and replays the surviving cells in one fused pass. A leader's
+    // wall time is its acquire time plus the time from the handoff on, so
+    // the gap between its two units is never counted. Returns false on
+    // fail-fast abort.
+    const auto evaluate_column = [&](std::size_t group) {
+        ColumnArtifacts column;
+        auto resumed = Clock::now();
+        if (leader_of[group] != kNoLeader) {
+            LeaderSlot& slot = leaders[leader_of[group]];
+            slot.acquired.wait(false, std::memory_order_acquire);
+            if (abort_sweep.load(std::memory_order_relaxed)) return false;
+            column = std::move(slot.artifacts);
+            resumed = Clock::now();
+        } else if (!acquire_column(group, resumed, /*table_last=*/false, column)) {
+            return false;
+        }
+
+        std::vector<std::size_t> live;
+        live.reserve(group_size);
+        const dta::DelayTable* table = nullptr;
+        for (std::size_t k = 0; k < group_size; ++k) {
+            if (!column.tables[k]) continue;
+            const std::size_t index = group * group_size + k;
+            try {
+                table = &column.tables[k]->get();
                 live.push_back(index);
             } catch (const std::exception& e) {
-                record_failure(cell, e);
-                if (abort_on_failure(cell)) return false;
+                if (fail_cell(result.cells[index], e)) return false;
             }
         }
         if (live.empty()) return true;
@@ -395,11 +462,10 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
                 .arg("policy", result.cells[live.front()].policy)
                 .arg("voltage_v", job.design.voltage_v)
                 .arg("variants", static_cast<std::int64_t>(live.size()));
-            const sim::PipelineTrace& trace = trace_future->get();
-            const dta::DelayTable& table = table_future->get();
+            const sim::PipelineTrace& trace = column.trace.get();
             const timing::DelayCalculator calculator(job.design);
             const timing::ScaledTraceDelays delays =
-                timing::scale_trace_delays(unit_future->get(), calculator);
+                timing::scale_trace_delays(column.unit_delays.get(), calculator);
 
             // Per-variant generators (mutable; nullptr = ideal), in the
             // column's declaration order.
@@ -417,14 +483,12 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
             core::ReplayOptions replay_options;
             replay_options.cancel = options.cancel;
             replay_options.force_scalar = options.force_scalar_replay;
-            const core::ReplayEvaluationEngine replay(trace, delays, table, replay_options);
+            const core::ReplayEvaluationEngine replay(trace, delays, *table, replay_options);
             auto fused = replay.run_fused(job.policy, variants);
 
             // The fused pass is shared work: every participating cell gets
             // the column's wall time (run-dependent fields either way).
-            const double wall = std::chrono::duration<double, std::milli>(
-                                    std::chrono::steady_clock::now() - dequeued)
-                                    .count();
+            const double wall = column.acquire_ms + ms_since(resumed);
             for (std::size_t k = 0; k < live.size(); ++k) {
                 SweepCell& cell = result.cells[live[k]];
                 cell.result = std::move(fused[k]);
@@ -432,27 +496,29 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
             }
             column_span.arg("wall_ms", wall);
         } catch (const std::exception& e) {
-            const double wall = std::chrono::duration<double, std::milli>(
-                                    std::chrono::steady_clock::now() - dequeued)
-                                    .count();
+            const double wall = column.acquire_ms + ms_since(resumed);
+            bool stop = false;
             for (const std::size_t index : live) {
-                record_failure(result.cells[index], e);
                 result.cells[index].wall_ms = wall;
+                stop = fail_cell(result.cells[index], e) || stop;
             }
-            if (abort_on_failure(result.cells[live.front()])) return false;
+            if (stop) return false;
         }
         return true;
     };
 
+    // Replay units: every leader's acquire unit, then every column in
+    // declaration order. A unit is always run once dequeued, and a leader's
+    // acquire unit precedes its column unit on the cursor, so the handoff a
+    // column unit waits on has always been taken by some worker.
     const auto worker = [&] {
         while (!abort_sweep.load(std::memory_order_relaxed)) {
-            const std::size_t index = cursor.fetch_add(1, std::memory_order_relaxed);
-            if (index >= unit_count) return;
-            if (fuse_columns) {
-                if (!evaluate_column(index)) return;
-            } else {
-                if (!evaluate_one(index)) return;
-            }
+            const std::size_t unit = cursor.fetch_add(1, std::memory_order_relaxed);
+            if (unit >= unit_count) return;
+            const bool keep_going = !fuse_columns            ? evaluate_one(unit)
+                                    : unit < leaders.size() ? acquire_leader(unit)
+                                                            : evaluate_column(unit - leaders.size());
+            if (!keep_going) return;
         }
     };
 
@@ -516,9 +582,7 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
     result.metrics.cell_wall_ms_p50 = nearest_rank(walls, 50);
     result.metrics.cell_wall_ms_p95 = nearest_rank(walls, 95);
     result.metrics.cell_wall_ms_max = walls.empty() ? 0 : walls.back();
-    result.wall_ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                               start)
-                         .count();
+    result.wall_ms = ms_since(start);
     return result;
 }
 

@@ -2,17 +2,40 @@
 //
 // Expands a SweepSpec into one job per (voltage, kernel, policy, generator)
 // grid cell and executes the jobs on a pool of worker threads. Workers pull
-// jobs from a shared atomic cursor (cheap work stealing: whoever is free
-// takes the next cell), instantiate all mutable simulator state privately
-// (policy, clock generator — mutable, so nothing is shared except read-only
-// artifacts), and obtain shared artifacts from an ArtifactCache, where
-// assembled programs, the characterization DelayTable, recorded traces and
-// their voltage-free unit delay arrays are computed exactly once behind
-// shared_futures. When the grid needs fewer distinct delay tables than
-// there are workers, the would-be-idle parallelism is handed to the batched
-// characterization engine as intra-flow worker threads. Results land in a
-// pre-sized vector slot per cell, so aggregation order is the spec's
-// declaration order and a --jobs 8 run is byte-identical to --jobs 1.
+// scheduling units from a shared atomic cursor (cheap work stealing:
+// whoever is free takes the next unit), instantiate all mutable simulator
+// state privately (policy, clock generator — mutable, so nothing is shared
+// except read-only artifacts), and obtain shared artifacts from an
+// ArtifactCache, where assembled programs, the characterization DelayTable,
+// recorded traces and their voltage-free unit delay arrays are computed
+// exactly once behind shared_futures. Results land in a pre-sized vector
+// slot per cell, so aggregation order is the spec's declaration order and a
+// --jobs 8 run is byte-identical to --jobs 1.
+//
+// Live mode schedules one unit per cell. Replay mode schedules one unit per
+// (voltage, kernel, policy) column, preceded by a *leader acquire pass*:
+// the leader of a kernel is its first column in declaration order, and
+// each leader gets one acquire-only unit ahead of every column unit. An
+// acquire unit runs the leader's per-cell protocol (label, cancellation
+// drain, eval.cell fault point, one fetch each of delay table, trace and
+// unit delays) and waits on the trace and unit delays but not on the
+// table. The first leader fetches the table first and so elects the
+// nominal characterization at sweep start while the other workers record
+// the other kernels' traces (later leaders fetch their table last, so none
+// of them holds the characterization while its own trace waits). A cold
+// sweep's critical path is thus the longer of the characterization and
+// the builds spread over the workers, plus the replay spread over the
+// workers. The leader's column unit later waits for that acquire unit
+// through a handoff released on every exit path, waits on the stashed
+// tables, records any failure on its cells and replays the survivors.
+// Every cell still performs exactly one lookup per artifact class, and a
+// build failure still fails only the cells that observed it.
+//
+// Characterization builds run on worker_count / (distinct per-voltage
+// design keys) intra-flow threads, clamped to [1, 8]. Only distinct nominal
+// keys run a characterization, but the divisor counts voltages, so any
+// grid with at least as many voltages as workers characterizes on one
+// thread.
 //
 // Two execution modes produce byte-identical cells:
 //  - kReplay (default): record-once / replay-many. Each (kernel, machine
@@ -92,10 +115,15 @@ struct SweepCell {
     std::string error;
     core::DcaRunResult result;
     /// Wall time of this cell's evaluation on its worker (artifact waits
-    /// included). Run-dependent: serialized only under include_timing.
+    /// included; a replay column's cells share their column's figure).
+    /// For a kernel leader's column it is the acquire unit's wall time
+    /// plus the column unit's time from the handoff on: the gap between
+    /// the two units is not counted. Run-dependent: serialized only under
+    /// include_timing.
     double wall_ms = 0;
     /// Time the expanded job sat in the queue before a worker picked it
-    /// up (dequeue time minus sweep start). Run-dependent.
+    /// up (dequeue time minus sweep start). For a kernel leader's column
+    /// this is the dequeue of its acquire unit. Run-dependent.
     double queue_wait_ms = 0;
 
     bool ok() const { return status == CellStatus::kOk; }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "core/flows.hpp"
+#include "obs/span_tracer.hpp"
 #include "runtime/artifact_cache.hpp"
 #include "runtime/result_io.hpp"
 #include "runtime/sweep_engine.hpp"
@@ -49,6 +51,39 @@ struct GlobalFaultGuard {
 #else
 #define FOCS_REQUIRE_FAULT_POINTS() ((void)0)
 #endif
+
+/// Likewise for tests that read the product code's spans in a
+/// -DFOCS_OBS_COMPILE_OUT build.
+#ifdef FOCS_OBS_COMPILE_OUT
+#define FOCS_REQUIRE_SPANS() GTEST_SKIP() << "instrumentation compiled out"
+#else
+#define FOCS_REQUIRE_SPANS() ((void)0)
+#endif
+
+/// Enables the process-global span tracer, empty, for one test body and
+/// disables and clears it again on every exit path.
+struct GlobalTracerGuard {
+    GlobalTracerGuard() {
+        obs::global_tracer().reset();
+        obs::global_tracer().set_enabled(true);
+    }
+    ~GlobalTracerGuard() {
+        obs::global_tracer().set_enabled(false);
+        obs::global_tracer().reset();
+    }
+};
+
+/// More kernels than the 4 workers the leader-pass tests run: 5 kernels x
+/// 2 policies x 2 generators x 2 voltages = 40 cells in 20 columns. The
+/// kernels are the suite's shortest (1.4k-8.5k cycles), so recording all
+/// five traces stays far shorter than one characterization, even under
+/// sanitizers.
+SweepSpec five_kernel_spec() {
+    SweepSpec spec = small_spec();
+    spec.kernels = {"fixmath", "edn", "fsm", "levenshtein", "insertsort"};
+    spec.voltages_v = {0.65, 0.75};
+    return spec;
+}
 
 TEST(SweepEngine, ParallelRunIsByteIdenticalToSerial) {
     const SweepEngine serial(1);
@@ -374,6 +409,115 @@ TEST(SweepEngine, MidRunDeadlineReturnsPartialResults) {
     for (const auto& cell : result.cells) {
         if (!cell.ok()) {
             EXPECT_EQ(cell.error_code, ErrorCode::kDeadline);
+        }
+    }
+}
+
+TEST(SweepEngine, LeaderPassRecordsEveryTraceWhileTheNominalTableBuilds) {
+    FOCS_REQUIRE_FAULT_POINTS();
+    FOCS_REQUIRE_SPANS();
+    // The nominal characterization is slowed by 300 ms. On a fresh cache
+    // the kernel leaders' acquire units must record every kernel's trace
+    // and unit delays while it runs, not queue behind it on kernel 0's
+    // columns.
+    const GlobalFaultGuard guard("build.nominal_table:1:delay_ms=300");
+    const SweepSpec spec = five_kernel_spec();
+    const SweepResult serial = SweepEngine(1).run(spec);
+    SweepResult parallel;
+    std::vector<obs::SpanEvent> events;
+    {
+        const GlobalTracerGuard tracing;
+        parallel = SweepEngine(4).run(spec);
+        events = obs::global_tracer().snapshot();
+    }
+    ASSERT_EQ(parallel.jobs, 4);
+
+    double nominal_end_us = -1;
+    for (const auto& event : events) {
+        if (event.name == "cache.build.nominal_table") {
+            EXPECT_LT(nominal_end_us, 0) << "more than one nominal characterization";
+            nominal_end_us = event.start_us + event.duration_us;
+        }
+    }
+    ASSERT_GT(nominal_end_us, 0);
+    std::size_t traces = 0, unit_delays = 0;
+    for (const auto& event : events) {
+        if (event.name != "cache.build.trace" && event.name != "cache.build.unit_delays") {
+            continue;
+        }
+        (event.name == "cache.build.trace" ? traces : unit_delays) += 1;
+        EXPECT_LT(event.start_us, nominal_end_us) << event.name << " started after the table";
+    }
+    EXPECT_EQ(traces, spec.kernels.size());
+    EXPECT_EQ(unit_delays, spec.kernels.size());
+
+    // The schedule moves builds, never lookups or results.
+    const auto same_outcomes = [](const ArtifactClassCounters& a, const ArtifactClassCounters& b,
+                                  const char* name) {
+        EXPECT_EQ(a.miss, b.miss) << name;
+        EXPECT_EQ(a.served(), b.served()) << name;
+    };
+    same_outcomes(parallel.metrics.program, serial.metrics.program, "program");
+    same_outcomes(parallel.metrics.delay_table, serial.metrics.delay_table, "delay_table");
+    same_outcomes(parallel.metrics.trace, serial.metrics.trace, "trace");
+    same_outcomes(parallel.metrics.unit_delays, serial.metrics.unit_delays, "unit_delays");
+    EXPECT_EQ(to_json(parallel, /*include_timing=*/false),
+              to_json(serial, /*include_timing=*/false));
+}
+
+TEST(SweepEngine, LeaderPassFailFastRethrowsWithoutDeadlock) {
+    FOCS_REQUIRE_FAULT_POINTS();
+    // Every trace build fails: the first leader to observe it aborts the
+    // pool while other workers may wait on its handoff.
+    const GlobalFaultGuard guard("build.trace:1");
+    SweepRunOptions options;
+    options.failure_mode = FailureMode::kFailFast;
+    try {
+        SweepEngine(4).run(five_kernel_spec(), options);
+        FAIL() << "fail-fast sweep did not throw";
+    } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kArtifactBuild);
+        EXPECT_EQ(std::string(e.what()).rfind("sweep cell ", 0), 0u) << e.what();
+    }
+}
+
+TEST(SweepEngine, LeaderPassKeepGoingFailsEveryCellOfABrokenTrace) {
+    FOCS_REQUIRE_FAULT_POINTS();
+    const GlobalFaultGuard guard("build.trace:1");
+    const SweepResult result = SweepEngine(4).run(five_kernel_spec());
+    EXPECT_EQ(result.cells_failed, result.cells.size());
+    for (const auto& cell : result.cells) {
+        EXPECT_EQ(cell.status, CellStatus::kFailed);
+        EXPECT_EQ(cell.error_code, ErrorCode::kArtifactBuild);
+        EXPECT_FALSE(cell.kernel.empty());
+    }
+}
+
+TEST(SweepEngine, LeaderPassCancelledFromAnotherThreadReturnsPartialResults) {
+    FOCS_REQUIRE_FAULT_POINTS();
+    // The slowed nominal table keeps the leader pass running; the token
+    // fires once two traces are recorded, i.e. inside the leader pass.
+    const GlobalFaultGuard guard("build.nominal_table:1:delay_ms=300");
+    auto cache = std::make_shared<ArtifactCache>();
+    const CancellationToken token;
+    std::atomic<bool> finished{false};
+    std::thread canceller([&] {
+        while (cache->traces_recorded() < 2 && !finished.load()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        token.request_cancel();
+    });
+    SweepRunOptions options;
+    options.cancel = &token;
+    const SweepResult result = SweepEngine(4, cache).run(five_kernel_spec(), options);
+    finished.store(true);
+    canceller.join();
+    EXPECT_GT(result.cells_cancelled, 0u);
+    EXPECT_EQ(result.cells_failed, 0u);
+    EXPECT_EQ(result.cells_ok + result.cells_cancelled, result.cells.size());
+    for (const auto& cell : result.cells) {
+        if (!cell.ok()) {
+            EXPECT_EQ(cell.error_code, ErrorCode::kCancelled) << cell.error;
         }
     }
 }
