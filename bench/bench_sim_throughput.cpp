@@ -20,8 +20,8 @@
 // runs), the robustness series (replay hot loop with a dormant
 // CancellationToken threaded through, vs plain — the fault-tolerance
 // machinery must be free when nothing fires), the SIMD series (vectorized
-// replay kernels vs the byte-identical scalar reference path, with the
-// speedup enforced as a floor when a SIMD ISA is active), and the service
+// replay kernels vs the byte-identical portable scalar kernel table, with
+// the speedup enforced as a floor when a SIMD ISA is active), and the service
 // series
 // (N concurrent clients against the loopback sweep daemon, cold vs warm —
 // the warm burst must perform zero builds), next to the pre-PR baseline
@@ -146,9 +146,9 @@ void BM_ReplayCellLut(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplayCellLut)->Unit(benchmark::kMillisecond);
 
-// The same replay cell pinned to the scalar reference path (--no-simd):
-// the gap against BM_ReplayCellLut is the vectorized-kernel win, with
-// byte-identical results (the tracked artifact series enforces a
+// The same replay cell pinned to the portable scalar kernel table
+// (--no-simd): the gap against BM_ReplayCellLut is the vectorized-kernel
+// win, with byte-identical results (the tracked artifact series enforces a
 // floor on the ratio when SIMD is active).
 void BM_ReplayCellLutScalar(benchmark::State& state) {
     const timing::DesignConfig design;
@@ -173,11 +173,12 @@ void BM_ReplayCellLutScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplayCellLutScalar)->Unit(benchmark::kMillisecond);
 
-// Replay hot-loop instrumentation overhead: 0 = the compiled-out
-// instantiation (kForceOff — the exact code a -DFOCS_OBS_COMPILE_OUT build
-// always runs), 1 = the shipping default (kAuto with the global switches
-// off: one flag check per run), 2 = fully instrumented (kForceOn with the
-// global registry and tracer enabled).
+// Replay hot-loop instrumentation overhead: 0 = never instrumented
+// (kForceOff — no span or metrics, as in a -DFOCS_OBS_COMPILE_OUT build),
+// 1 = the shipping default (kAuto with the global switches off: one flag
+// check per call), 2 = fully instrumented (kForceOn with the global
+// registry and tracer enabled). All three run the same block loop; they
+// differ only in the per-call branch and the work recorded after it.
 void BM_ReplayCellLutObs(benchmark::State& state) {
     const timing::DesignConfig design;
     static const dta::DelayTable table =
@@ -445,14 +446,14 @@ void emit_artifact() {
     });
 
     // Instrumentation overhead on the replay hot loop: the same cell under
-    // the three ReplayObsMode resolutions. kForceOff is the exact
-    // instantiation a -DFOCS_OBS_COMPILE_OUT build always takes; kAuto
-    // with the global switches off is the shipping default (one relaxed
-    // flag check per run, then the uninstrumented instantiation); kForceOn
-    // with the global registry + tracer enabled is the fully instrumented
-    // path. Best-of-3 passes so the disabled/compiled-out ratio — enforced
-    // as a >= 0.97 floor by tools/check_bench_regression.py — measures the
-    // code path, not scheduler noise. (In a compiled-out build all three
+    // the three ReplayObsMode resolutions. kForceOff records nothing, as a
+    // -DFOCS_OBS_COMPILE_OUT build; kAuto with the global switches off is
+    // the shipping default (one relaxed flag check per call, then the same
+    // block loop with nothing recorded); kForceOn with the global registry
+    // + tracer enabled is the fully instrumented path. Best-of-3 passes so
+    // the disabled/compiled-out ratio — enforced as a >= 0.97 floor by
+    // tools/check_bench_regression.py — measures the code path, not
+    // scheduler noise. (In a compiled-out build all three
     // series run the same loop by construction.)
     const auto best_replay_rate = [&](core::ReplayObsMode mode) {
         core::ReplayOptions options;
@@ -504,10 +505,12 @@ void emit_artifact() {
     dormant_options.cancel = &dormant_token;
     const double robust_dormant = best_replay_rate_with(dormant_options);
 
-    // Vectorized replay kernels vs the scalar reference path: the default
-    // engine dispatches to the SIMD kernel table (AVX2/NEON) when the host
-    // supports one and falls back to the scalar table otherwise, while
-    // force_scalar (--no-simd) pins the byte-identical reference loop.
+    // Vectorized replay kernels vs the portable scalar kernel table: the
+    // default engine dispatches to the SIMD kernel table (AVX2/NEON) when
+    // the host supports one and falls back to the scalar table otherwise,
+    // while force_scalar (--no-simd) pins the byte-identical scalar table.
+    // Both sides run the same block loop, so the ratio is the kernels'
+    // own win.
     // The two sides are measured in *interleaved* best-of-5 passes — an
     // alternating slow window (noisy neighbor, frequency dip) then taxes
     // both engines instead of skewing the ratio — because
@@ -824,10 +827,11 @@ void emit_artifact() {
     out += "  \"simd\": {\n";
     out += "    \"note\": " +
            json_string("vectorized replay kernels (gather/max LUT fill, branch-free mask "
-                       "select, vectorized safety reduction) vs the byte-identical scalar "
-                       "reference path (ReplayOptions::force_scalar / --no-simd), best of 3 "
-                       "passes each; replay_simd_speedup is enforced as a floor by "
-                       "tools/check_bench_regression.py whenever simd_active is 1") +
+                       "select, vectorized safety reduction) vs the byte-identical portable "
+                       "scalar kernel table (ReplayOptions::force_scalar / --no-simd), "
+                       "interleaved best of 5 passes each; replay_simd_speedup is enforced "
+                       "as a floor by tools/check_bench_regression.py whenever simd_active "
+                       "is 1") +
            ",\n";
     out += "    \"simd_active\": " + std::string(simd_active ? "1" : "0") + ",\n";
     out += "    \"simd_isa\": " + json_string(simd_isa) + ",\n";
@@ -838,8 +842,8 @@ void emit_artifact() {
     out += "  \"instrumentation\": {\n";
     out += "    \"note\": " +
            json_string("replay hot loop under the three ReplayObsMode resolutions, best of 3 "
-                       "passes each: compiled_out is the exact instantiation a "
-                       "-DFOCS_OBS_COMPILE_OUT build runs, disabled is the shipping default "
+                       "passes each: compiled_out is kForceOff (nothing recorded, as in a "
+                       "-DFOCS_OBS_COMPILE_OUT build), disabled is the shipping default "
                        "(kAuto, global switches off), enabled is kForceOn with the registry "
                        "and tracer live; the disabled/compiled_out ratio is enforced as a "
                        "floor so dormant instrumentation can never tax the hot loop") +

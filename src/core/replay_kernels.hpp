@@ -70,7 +70,8 @@ struct ReplayKernels {
     const char* name;
 };
 
-/// The portable reference-shaped table (plain loops, no intrinsics).
+/// The portable scalar table (plain loops, no intrinsics): the reference
+/// the SIMD tables are diffed against, and what force_scalar pins.
 const ReplayKernels& scalar_replay_kernels();
 
 /// The SIMD table when FOCS_SIMD was compiled in, the target ISA has an

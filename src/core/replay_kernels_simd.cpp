@@ -11,8 +11,9 @@
 //   run time — on x86 the AVX2 table is handed out only when the running
 //     CPU reports AVX2 (__builtin_cpu_supports), so a generic binary is
 //     safe on older cores;
-//   per engine — ReplayOptions::force_scalar (CLI --no-simd) ignores this
-//     table entirely and keeps the handwritten reference path.
+//   per engine — ReplayOptions::force_scalar (CLI --no-simd) skips this
+//     table and pins the portable scalar table, the reference these
+//     kernels are diffed against.
 //
 // Byte-identity with the scalar kernels (the contract in
 // replay_kernels.hpp) holds lane by lane: gathers read the same doubles,

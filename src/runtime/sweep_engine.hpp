@@ -133,9 +133,9 @@ struct SweepCell {
 /// reusable across runs with different failure handling).
 struct SweepRunOptions {
     FailureMode failure_mode = FailureMode::kKeepGoing;
-    /// Pin replay cells to the scalar reference path (CLI --no-simd): no
-    /// SIMD kernel table. Never affects results — replay is byte-identical
-    /// either way.
+    /// Pin replay cells to the portable scalar kernel table (CLI
+    /// --no-simd) instead of the SIMD one. Never affects results — replay
+    /// is byte-identical either way.
     bool force_scalar_replay = false;
     /// Characterize every operating point with the full per-voltage
     /// gate-level flow (CLI --reference-characterization) instead of

@@ -74,7 +74,7 @@ struct ServerConfig {
     /// SweepEngine worker threads per request (0 = hardware concurrency).
     int jobs = 0;
     runtime::EvalMode mode = runtime::EvalMode::kReplay;
-    /// Pin replay cells to the scalar reference path (focs serve
+    /// Pin replay cells to the portable scalar kernel table (focs serve
     /// --no-simd); byte-identical results, diagnostic escape hatch only.
     bool force_scalar_replay = false;
 };

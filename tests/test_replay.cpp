@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <memory>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "asm/assembler.hpp"
@@ -19,6 +23,7 @@
 #include "core/policies.hpp"
 #include "core/replay_engine.hpp"
 #include "core/replay_kernels.hpp"
+#include "isa/opcode.hpp"
 #include "sim/trace_recorder.hpp"
 #include "timing/cell_library.hpp"
 #include "timing/trace_delays.hpp"
@@ -381,13 +386,13 @@ TEST(TraceDelays, OneUnitPassServesEveryVoltageBitIdentically) {
 TEST(Replay, ScalarReferenceAndSimdKernelsAreByteIdentical) {
     // The tentpole contract of the vectorized kernels: the default engine
     // (SIMD kernel table when compiled + supported, portable scalar table
-    // otherwise, block clock grants either way) must reproduce the
-    // force_scalar reference path byte for byte — for all 7 policy kinds,
-    // across block sizes including single-cycle blocks and one block
-    // spanning the whole trace, at two operating points (the second
-    // voltage exercises a non-nominal delay scale). The stateful PLL
-    // generator is the sharpest detector of any divergence in the grant/
-    // integrate order.
+    // otherwise) and the force_scalar engine (always the portable scalar
+    // table) must both reproduce the live DcaEngine byte for byte — for all
+    // 7 policy kinds and all three generator families, across block sizes
+    // including single-cycle blocks and one block spanning the whole
+    // trace, at two operating points (the second voltage exercises a
+    // non-nominal delay scale). The stateful PLL generator is the sharpest
+    // detector of any divergence in the grant/integrate order.
     const ReplayFixture& f = fixture();
     const timing::CellLibrary& library = timing::CellLibrary::fdsoi28();
     const double nominal_scale = library.delay_scale(timing::DesignConfig{}.voltage_v);
@@ -399,28 +404,155 @@ TEST(Replay, ScalarReferenceAndSimdKernelsAreByteIdentical) {
         const timing::ScaledTraceDelays delays = timing::scale_trace_delays(f.unit, calculator);
         const dta::DelayTable table =
             f.table.scaled(library.delay_scale(voltage) / nominal_scale);
+        // One live run per (kind, generator): the oracle has no block size.
+        std::vector<DcaRunResult> live;
+        for (const PolicyKind kind : kAllKinds) {
+            for (int which = 0; which < 3; ++which) {
+                auto generator = make_generator(which, delays.static_period_ps);
+                live.push_back(evaluate_cell(design, table, f.program, kind, generator.get()));
+            }
+        }
         for (const int block : {1, 3, 7, 1023, 1 << 20}) {
-            ReplayOptions reference_options;
-            reference_options.block_cycles = block;
-            reference_options.force_scalar = true;
-            const ReplayEvaluationEngine reference(f.trace, delays, table, reference_options);
+            ReplayOptions scalar_options;
+            scalar_options.block_cycles = block;
+            scalar_options.force_scalar = true;
+            const ReplayEvaluationEngine scalar(f.trace, delays, table, scalar_options);
             ReplayOptions kernel_options;
             kernel_options.block_cycles = block;
             const ReplayEvaluationEngine kernels(f.trace, delays, table, kernel_options);
             // The comparison must actually cover the SIMD table wherever
-            // one exists for this build/CPU (otherwise it still pins the
-            // portable kernel table against the reference loops).
+            // one exists for this build/CPU (otherwise both sides pin the
+            // portable kernel table against the live engine).
             EXPECT_EQ(kernels.simd_active(), simd_replay_kernels() != nullptr);
+            EXPECT_FALSE(scalar.simd_active());
+            EXPECT_STREQ(scalar.kernels_name(), "scalar");
+            std::size_t cell = 0;
             for (const PolicyKind kind : kAllKinds) {
-                for (const int which : {0, 2}) {
+                for (int which = 0; which < 3; ++which, ++cell) {
                     SCOPED_TRACE("block=" + std::to_string(block) + " " +
                                  policy_kind_name(kind) + "/generator" + std::to_string(which));
                     auto generator_a = make_generator(which, delays.static_period_ps);
                     auto generator_b = make_generator(which, delays.static_period_ps);
-                    expect_identical(reference.run(kind, generator_a.get()),
-                                     kernels.run(kind, generator_b.get()));
+                    expect_identical(live[cell], scalar.run(kind, generator_a.get()));
+                    expect_identical(live[cell], kernels.run(kind, generator_b.get()));
                 }
             }
+        }
+    }
+}
+
+TEST(Replay, TwoClassOverLegacyTableFallsBackToSlowFlags) {
+    // The two-class mask kernel is exact only while slow >= fast. A legacy
+    // set() table is not clamped to the static period, so a fast-class
+    // entry above it makes the fast period exceed the slow (static) one;
+    // the engine must then select on gathered 0/1 slow flags instead, and
+    // still reproduce the live run on every kernel table, generator family
+    // and block size.
+    const ReplayFixture& f = fixture();
+    const double static_period = f.table.static_period_ps();
+    dta::DelayTable legacy(static_period);
+    for (dta::OccKey key = 0; key < dta::kKeyCount; ++key) {
+        for (int s = 0; s < sim::kStageCount; ++s) {
+            const auto stage = static_cast<sim::Stage>(s);
+            if (f.table.characterized(key, stage)) {
+                legacy.set(key, stage, f.table.lookup(key, stage));
+            }
+        }
+    }
+    legacy.set(static_cast<dta::OccKey>(isa::Opcode::kAdd), sim::Stage::kEx,
+               1.5 * static_period);
+    ASSERT_GT(TwoClassPolicy(legacy).fast_period_ps(), static_period);
+
+    for (const int block : {1, 7, 4096}) {
+        for (const bool force_scalar : {false, true}) {
+            ReplayOptions options;
+            options.block_cycles = block;
+            options.force_scalar = force_scalar;
+            const ReplayEvaluationEngine engine(f.trace, f.delays, legacy, options);
+            for (int which = 0; which < 3; ++which) {
+                SCOPED_TRACE("block=" + std::to_string(block) + " scalar=" +
+                             std::to_string(force_scalar) + " generator" + std::to_string(which));
+                auto live_generator = make_generator(which, f.delays.static_period_ps);
+                auto replay_generator = make_generator(which, f.delays.static_period_ps);
+                expect_identical(evaluate_cell(f.design, legacy, f.program, PolicyKind::kTwoClass,
+                                               live_generator.get()),
+                                 engine.run(PolicyKind::kTwoClass, replay_generator.get()));
+            }
+        }
+    }
+}
+
+TEST(Replay, RandomCellsMatchLiveOnEveryKernelTable) {
+    // Seeded property test over random replay cells: each draw picks a
+    // policy spec (parameterized approx-lut:S / dual-cycle:S included), a
+    // generator (ideal, taps:N or a PLL bank), a voltage in [0.5, 0.9] V
+    // and a block size in [1, 65536] (log-uniform, so small blocks are
+    // drawn often). The default engine, the force_scalar engine and the
+    // live run must agree byte for byte, and every non-approximate policy
+    // must be violation-free. The seed is part of every failure message.
+    constexpr std::uint64_t kSeed = 0x5eedf0c5ULL;
+    constexpr int kDraws = 24;
+    SCOPED_TRACE("seed=" + std::to_string(kSeed));
+    std::mt19937_64 rng(kSeed);
+    const auto uniform = [&](double lo, double hi) {
+        return lo + (hi - lo) * static_cast<double>(rng() >> 11) * 0x1.0p-53;
+    };
+    const auto pick = [&](int n) {
+        return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+    };
+
+    const ReplayFixture& f = fixture();
+    const timing::CellLibrary& library = timing::CellLibrary::fdsoi28();
+    const double nominal_scale = library.delay_scale(timing::DesignConfig{}.voltage_v);
+    for (int draw = 0; draw < kDraws; ++draw) {
+        PolicySpec spec = kAllKinds[pick(7)];
+        if (spec.kind == PolicyKind::kApproxLut) spec.param = uniform(0.5, 1.0);
+        if (spec.kind == PolicyKind::kDualCycle) spec.param = uniform(1.0, 4.0);
+        const int which = pick(3);
+        const int taps = 2 + pick(15);
+        const double fast_source = uniform(0.4, 0.7);
+        const double mid_source = uniform(0.7, 1.0);
+        const int dwell = pick(9);
+        const double voltage = uniform(0.5, 0.9);
+        const int block = std::clamp(static_cast<int>(std::exp2(uniform(0.0, 16.0))), 1, 65536);
+        SCOPED_TRACE("draw " + std::to_string(draw) + ": " + spec.label() + " generator" +
+                     std::to_string(which) + " taps=" + std::to_string(taps) +
+                     " v=" + std::to_string(voltage) + " block=" + std::to_string(block));
+
+        timing::DesignConfig design = f.design;
+        design.voltage_v = voltage;
+        const timing::ScaledTraceDelays delays =
+            timing::scale_trace_delays(f.unit, timing::DelayCalculator(design));
+        const dta::DelayTable table =
+            f.table.scaled(library.delay_scale(voltage) / nominal_scale);
+        const double period = delays.static_period_ps;
+        const auto generator = [&]() -> std::unique_ptr<clocking::ClockGenerator> {
+            switch (which) {
+                case 1:
+                    return std::make_unique<clocking::QuantizedClockGenerator>(
+                        clocking::QuantizedClockGenerator::for_static_period(period, taps));
+                case 2:
+                    return std::make_unique<clocking::PllBankClockGenerator>(
+                        std::vector<double>{fast_source * period, mid_source * period, period},
+                        dwell);
+                default: return nullptr;
+            }
+        };
+
+        auto live_generator = generator();
+        const DcaRunResult live =
+            evaluate_cell(design, table, f.program, spec, live_generator.get());
+        for (const bool force_scalar : {false, true}) {
+            SCOPED_TRACE(force_scalar ? "force_scalar" : "default kernels");
+            ReplayOptions options;
+            options.block_cycles = block;
+            options.force_scalar = force_scalar;
+            const ReplayEvaluationEngine engine(f.trace, delays, table, options);
+            auto replay_generator = generator();
+            expect_identical(live, engine.run(spec, replay_generator.get()));
+        }
+        if (spec.kind != PolicyKind::kApproxLut) {
+            EXPECT_EQ(live.timing_violations, 0u);
         }
     }
 }

@@ -86,11 +86,14 @@ FLOOR_FIGURES = {
 
 # Floors enforced only when the fresh artifact reports a live SIMD ISA
 # (simd.simd_active == 1): the vectorized replay kernels must beat the
-# byte-identical scalar reference path by this factor on the replay-LUT
-# cell. Skipped (reported, not enforced) on hosts where the build fell
-# back to the scalar table — there is no vector unit to hold to a floor.
+# byte-identical portable scalar kernel table by this factor on the
+# replay-LUT cell. Skipped (reported, not enforced) on hosts where the
+# build fell back to the scalar table — there is no vector unit to hold to
+# a floor. The floor sits 10% below the lowest of 70 interleaved samples
+# of the figure on a 4-vCPU AVX2 VM (median 1.89, lowest 1.55), rounded
+# down to one decimal, so unchanged code does not flip it.
 SIMD_FLOOR_FIGURES = {
-    "simd.replay_simd_speedup": 2.5,
+    "simd.replay_simd_speedup": 1.3,
 }
 
 

@@ -118,8 +118,8 @@ using namespace focs;
                  "      --fault SPEC:       arm the deterministic fault injector, e.g.\n"
                  "                          'build.delay_table:0.3:seed=7' (FOCS_FAULT\n"
                  "                          environment variable works too)\n"
-                 "      --no-simd:          replay on the scalar reference path (no SIMD\n"
-                 "                          kernels, no block clock grants); results are\n"
+                 "      --no-simd:          replay on the portable scalar kernel table\n"
+                 "                          instead of the SIMD kernels; results are\n"
                  "                          byte-identical either way\n"
                  "      --reference-characterization:\n"
                  "                          characterize every voltage point from scratch\n"
