@@ -4,13 +4,14 @@
 // evaluation ... for any complex benchmark"; these benchmarks document the
 // throughput of this reproduction's equivalents: the bare cycle-accurate
 // pipeline, the DCA-annotated engine, and the full characterization flow in
-// both its streaming (single-pass, allocation-free) and materialized
-// (offline event log) modes.
+// its batched (production) and per-cycle streaming (reference) modes.
 //
 // Besides the google-benchmark suite, the binary emits a machine-readable
 // BENCH_sim_throughput.json artifact (path override: FOCS_BENCH_JSON env
-// var) with cycles/sec and peak-RSS figures for both characterization
-// modes, the evaluation hot loop (live and trace-replay), a sweep
+// var) with a fixed-work host calibration loop (the host-speed proxy the
+// regression checker uses to decide whether absolute figures compare),
+// cycles/sec and peak-RSS figures for both characterization modes, the
+// evaluation hot loop (live and trace-replay), a sweep
 // wall-clock comparison of the two evaluation modes at 1/2/4/8 workers,
 // the voltage-axis amortization series (per-voltage delay passes vs
 // one fused unit pass; a 10-voltage replay sweep with its unit-pass
@@ -46,7 +47,6 @@
 #include "core/dca_engine.hpp"
 #include "core/flows.hpp"
 #include "core/replay_engine.hpp"
-#include "dta/gatesim.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span_tracer.hpp"
 #include "runtime/result_io.hpp"
@@ -217,28 +217,9 @@ void BM_ReplayCellLutObs(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplayCellLutObs)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
-void BM_GateLevelEventEmission(benchmark::State& state) {
-    const timing::DesignConfig design;
-    const auto netlist = timing::SyntheticNetlist::generate(design);
-    const timing::DelayCalculator calculator(design);
-    std::uint64_t events = 0;
-    for (auto _ : state) {
-        sim::Machine machine;
-        machine.load(coremark_program());
-        dta::GateLevelSimulation gatesim(netlist, calculator);
-        machine.run(&gatesim);
-        events += gatesim.event_log().size();
-        benchmark::DoNotOptimize(gatesim.event_log().size());
-    }
-    state.counters["events/s"] = benchmark::Counter(static_cast<double>(events),
-                                                    benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_GateLevelEventEmission)->Unit(benchmark::kMillisecond);
-
 // Full characterization flow over the whole suite, one timer tick per flow
-// run: streaming (single-pass EventSink ingestion) vs. materialized (merged
-// event log, then offline analysis). Both produce byte-identical LUTs; the
-// streaming mode is the sweep runtime's default.
+// run, in the per-cycle streaming reference mode (EventSink ingestion). It
+// produces the same LUT as the batched default below.
 void BM_CharacterizationStreaming(benchmark::State& state) {
     const timing::DesignConfig design;
     const core::CharacterizationFlow flow(design);
@@ -253,21 +234,6 @@ void BM_CharacterizationStreaming(benchmark::State& state) {
                                                     benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_CharacterizationStreaming)->Unit(benchmark::kMillisecond);
-
-void BM_CharacterizationMaterialized(benchmark::State& state) {
-    const timing::DesignConfig design;
-    const core::CharacterizationFlow flow(design);
-    std::uint64_t cycles = 0;
-    for (auto _ : state) {
-        const auto result =
-            flow.run(characterization_programs(), core::CharacterizationMode::kMaterialized);
-        cycles += result.cycles;
-        benchmark::DoNotOptimize(result.genie_mean_period_ps);
-    }
-    state.counters["cycles/s"] = benchmark::Counter(static_cast<double>(cycles),
-                                                    benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_CharacterizationMaterialized)->Unit(benchmark::kMillisecond);
 
 // Batched characterization (the default mode): SoA endpoint kernel over
 // distilled cycle batches, with `Arg` endpoint-kernel worker threads (1 =
@@ -371,7 +337,35 @@ TimedRun timed_cycles(int reps, Fn&& run) {
     return {seconds > 0 ? static_cast<double>(cycles) / seconds : 0, cycles};
 }
 
-/// Pre-PR throughput of the seed implementation (materialized-only
+/// Fixed-work host calibration: xorshift64 steps per microsecond, best of
+/// several short repeats (a preempted repeat reads slow, while a host whose
+/// clock really dropped reads slow on every repeat). It exercises no focs
+/// code, so no change to the program can move it: the regression checker
+/// compares it between artifacts to judge whether their absolute figures
+/// came from comparable hosts.
+double calibration_rate_mops() {
+    constexpr std::uint64_t kIterations = 1'000'000;
+    constexpr int kRepeats = 7;
+    double best = 0;
+    for (int r = 0; r < kRepeats; ++r) {
+        volatile std::uint64_t sink = 0;
+        std::uint64_t x = 0x2545f4914f6cdd1dULL + static_cast<std::uint64_t>(r);
+        const auto start = std::chrono::steady_clock::now();
+        for (std::uint64_t i = 0; i < kIterations; ++i) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+        }
+        sink = x;
+        (void)sink;
+        const double seconds =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+        best = std::max(best, static_cast<double>(kIterations) / seconds / 1e6);
+    }
+    return best;
+}
+
+/// Pre-PR throughput of the seed implementation (offline event-log
 /// characterization, per-fetch decode, checked per-stage LUT lookups),
 /// measured on the CI-class dev host this repository is benchmarked on.
 /// These anchor the speedup fields below; on a different host compare the
@@ -386,11 +380,11 @@ void emit_artifact() {
     const timing::DesignConfig design;
     const core::CharacterizationFlow flow(design);
     const auto& programs = characterization_programs();
+    const double calibration_mops = calibration_rate_mops();
 
     // Peak-RSS protocol: measure the streaming mode first (1x, then 4x the
     // program list) so the monotonic high-water mark can prove that
-    // streaming peak memory does not scale with cycle count; only then run
-    // the materialized mode, whose event log dwarfs both.
+    // streaming peak memory does not scale with cycle count.
     std::vector<assembler::Program> programs_4x;
     programs_4x.reserve(programs.size() * 4);
     for (int i = 0; i < 4; ++i) {
@@ -409,10 +403,6 @@ void emit_artifact() {
         return flow.run(programs_4x, core::CharacterizationMode::kStreaming).cycles;
     });
     const long rss_streaming_4x_kb = peak_rss_kb();
-    const TimedRun materialized = timed_cycles(3, [&] {
-        return flow.run(programs, core::CharacterizationMode::kMaterialized).cycles;
-    });
-    const long rss_materialized_kb = peak_rss_kb();
 
     // Batched engine scaling series (after the RSS protocol above so the
     // slot rings don't disturb the streaming high-water marks). threads=1
@@ -786,7 +776,15 @@ void emit_artifact() {
     }
 
     std::string out = "{\n";
-    out += "  \"schema\": " + json_string("focs-bench-sim-throughput-v10") + ",\n";
+    out += "  \"schema\": " + json_string("focs-bench-sim-throughput-v11") + ",\n";
+    out += "  \"host\": {\n";
+    out += "    \"note\": " +
+           json_string("fixed-work calibration loop (xorshift64 steps per microsecond, best "
+                       "of 7 repeats of 1M steps) that runs no focs code; "
+                       "tools/check_bench_regression.py compares it between artifacts to "
+                       "decide whether the absolute figures come from comparable hosts") +
+           ",\n";
+    out += "    \"calibration_mops\": " + json_number(calibration_mops) + "\n  },\n";
     out += "  \"baseline\": {\n";
     out += "    \"note\": " +
            json_string("pre-PR seed implementation, commit edd42a9, measured on the repo's dev "
@@ -802,7 +800,6 @@ void emit_artifact() {
     out += "    \"suite_cycles\": " + std::to_string(streaming.cycles / 3) + ",\n";
     out += "    \"streaming_cycles_per_s\": " + json_number(streaming.cycles_per_s) + ",\n";
     out += "    \"streaming_4x_cycles_per_s\": " + json_number(streaming_4x.cycles_per_s) + ",\n";
-    out += "    \"materialized_cycles_per_s\": " + json_number(materialized.cycles_per_s) + ",\n";
     out += "    \"streaming_speedup_vs_baseline\": " +
            json_number(streaming.cycles_per_s / kBaselineCharacterizationCyclesPerS) + ",\n";
     out += "    \"characterization_batched_cycles_per_s\": {\n";
@@ -995,15 +992,12 @@ void emit_artifact() {
     out += "  \"peak_rss\": {\n";
     out += "    \"note\": " +
            json_string("deltas of the process high-water mark; streaming stays bounded under "
-                       "4x the cycles (only capped sample buffers fill further), while the "
-                       "materialized event log scales with cycle count") +
+                       "4x the cycles (only capped sample buffers fill further)") +
            ",\n";
     out += "    \"streaming_delta_kb\": " + std::to_string(rss_streaming_kb - rss_start_kb) +
            ",\n";
     out += "    \"streaming_4x_cycles_extra_delta_kb\": " +
-           std::to_string(rss_streaming_4x_kb - rss_streaming_kb) + ",\n";
-    out += "    \"materialized_extra_delta_kb\": " +
-           std::to_string(rss_materialized_kb - rss_streaming_4x_kb) + "\n  }\n";
+           std::to_string(rss_streaming_4x_kb - rss_streaming_kb) + "\n  }\n";
     out += "}\n";
 
     const char* env_path = std::getenv("FOCS_BENCH_JSON");
@@ -1032,8 +1026,8 @@ int main(int argc, char** argv) {
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
     // The artifact runs first: its peak-RSS protocol needs a clean process
-    // high-water mark, which the benchmark suite (with its materialized
-    // characterization runs) would otherwise pollute.
+    // high-water mark, which the benchmark suite (with its characterization
+    // runs) would otherwise pollute.
     if (!list_only) emit_artifact();
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();

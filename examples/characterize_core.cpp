@@ -11,10 +11,10 @@
 // each cycle into batch slots and a structure-of-arrays endpoint kernel
 // folds whole blocks straight into the analyzer — optionally on worker
 // threads (CharacterizationOptions::threads) behind a bounded ring buffer.
-// The STREAMING mode is the per-cycle EventSink reference path; the
-// MATERIALIZED mode additionally retains the merged event log / occupancy
-// trace — the offline-dump form of the paper's TSSI flow — at O(cycles)
-// memory. All three produce byte-identical delay tables.
+// The STREAMING mode is the per-cycle EventSink reference path: every
+// cycle's endpoint events (the paper's TSSI event log, one cycle at a time)
+// are folded into the analyzer as they are produced. Both modes produce
+// byte-identical delay tables.
 //
 // Build & run:  ./build/examples/characterize_core
 #include <cstdio>
@@ -39,7 +39,7 @@ int main() {
                 static_cast<unsigned long long>(result.cycles),
                 flow.netlist().endpoints().size(), result.static_period_ps);
 
-    // Figure queries work in the single-pass modes too: histograms
+    // Figure queries are served from the single pass: histograms
     // accumulate incrementally at a fixed fine resolution and are served
     // coarsened.
     std::printf("per-cycle worst dynamic delay (genie view):\n%s\n",
@@ -83,13 +83,5 @@ int main() {
     const auto streaming = flow.run(programs, core::CharacterizationMode::kStreaming);
     std::printf("streaming re-run: LUT byte-identical: %s\n",
                 streaming.table.serialize() == serialized ? "yes" : "NO");
-
-    // Materialized mode: identical LUT, but the merged gate-level event log
-    // is retained for offline dumps (the paper's TSSI event-log flow).
-    const auto offline = flow.run(programs, core::CharacterizationMode::kMaterialized);
-    std::printf("materialized re-run: LUT byte-identical: %s; event log %zu events (%zu bytes "
-                "serialized)\n",
-                offline.table.serialize() == serialized ? "yes" : "NO",
-                offline.event_log->size(), offline.event_log->serialize().size());
     return 0;
 }

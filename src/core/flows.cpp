@@ -37,7 +37,6 @@ CharacterizationResult CharacterizationFlow::run(const std::vector<assembler::Pr
     auto analysis = std::make_shared<dta::DynamicTimingAnalysis>(
         dta::PipelineSpec::from_netlist(netlist_), analyzer_config_);
 
-    CharacterizationResult result;
     if (options.mode == CharacterizationMode::kBatched) {
         // One batch engine consumes every program's cycle stream back to
         // back: the pipeline produces distilled cycle batches, the SoA
@@ -55,8 +54,8 @@ CharacterizationResult CharacterizationFlow::run(const std::vector<assembler::Pr
             check_self_check(machine.run(&engine));
         }
         engine.finish();
-    } else if (options.mode == CharacterizationMode::kStreaming) {
-        // Single pass: one streaming analyzer consumes every program's cycle
+    } else {
+        // Per-cycle reference: one analyzer consumes every program's cycle
         // stream back to back. Per-program cycle numbering is irrelevant to
         // the accumulators, so no merged timeline is needed.
         for (const auto& program : programs) {
@@ -66,27 +65,9 @@ CharacterizationResult CharacterizationFlow::run(const std::vector<assembler::Pr
             dta::GateLevelSimulation gatesim(netlist_, calculator_, *analysis);
             check_self_check(machine.run(&gatesim));
         }
-    } else {
-        // Gate-level-style simulation of every program; cycles are
-        // concatenated into one global timeline before analysis.
-        auto merged_log = std::make_shared<dta::EventLog>();
-        auto merged_trace = std::make_shared<dta::OccupancyTrace>();
-        std::uint64_t cycle_offset = 0;
-        for (const auto& program : programs) {
-            if (options.cancel != nullptr) options.cancel->throw_if_cancelled();
-            sim::Machine machine(machine_config_);
-            machine.load(program);
-            dta::GateLevelSimulation gatesim(netlist_, calculator_);
-            check_self_check(machine.run(&gatesim));
-            merged_log->append_shifted(gatesim.event_log(), cycle_offset);
-            merged_trace->append_shifted(gatesim.trace(), cycle_offset);
-            cycle_offset += gatesim.trace().size();
-        }
-        analysis->analyze(*merged_log, *merged_trace);
-        result.event_log = std::move(merged_log);
-        result.trace = std::move(merged_trace);
     }
 
+    CharacterizationResult result;
     result.table = analysis->build_delay_table();
     result.static_period_ps = analyzer_config_.static_period_ps;
     result.genie_mean_period_ps = analysis->genie_mean_period_ps();

@@ -1,8 +1,10 @@
 // End-to-end flows of the paper's methodology (Fig. 2).
 //
 // CharacterizationFlow: program binaries -> cycle-accurate execution with
-// the synthetic gate-level delay model -> endpoint event log + occupancy
-// trace -> dynamic timing analysis -> per-instruction delay LUT.
+// the synthetic gate-level delay model -> endpoint event stream + occupancy
+// attribution -> dynamic timing analysis -> per-instruction delay LUT. The
+// event stream is folded into the analysis as it is produced; no event log
+// is stored.
 //
 // EvaluationFlow: benchmark binaries + delay LUT -> delay-annotated ISS
 // runs under a selectable policy/clock generator -> effective clock
@@ -29,19 +31,16 @@ enum class CharacterizationMode {
     /// Batched single-pass: cycles are distilled into batch slots and the
     /// SoA endpoint kernel folds whole blocks straight into the analyzer
     /// (optionally on worker threads — see CharacterizationOptions). No
-    /// events are materialized; delay tables, figure histograms and
-    /// statistics are byte-identical to the other modes. This is the
+    /// events are built; delay tables, figure histograms and statistics are
+    /// byte-identical to kStreaming. This is the
     /// default (and what the sweep runtime uses).
     kBatched,
     /// Per-cycle single-pass: every cycle's endpoint events are built in a
     /// scratch buffer and folded into the analyzer through the EventSink
-    /// interface. Kept as the reference implementation of the event-level
-    /// protocol (and for comparison benchmarks).
+    /// interface. The reference implementation of the event-level protocol
+    /// that kBatched must reproduce (tests, CI byte-diffs and the bench's
+    /// batched-vs-streaming ratio).
     kStreaming,
-    /// Materializes the merged EventLog/OccupancyTrace before analysis.
-    /// Opt-in for offline serialization of the logs and for golden tests;
-    /// also retains the analyzer's per-cycle delay vector.
-    kMaterialized,
 };
 
 /// Knobs of the characterization run. All combinations produce identical
@@ -54,7 +53,7 @@ struct CharacterizationOptions {
     int threads = 1;
     /// Cycles per batch slot (kBatched only).
     int batch_cycles = 1024;
-    /// Optional cooperative cancellation: polled between programs (all
+    /// Optional cooperative cancellation: polled between programs (both
     /// modes) and at batch-slot boundaries (kBatched); a fired token
     /// throws CancelledError. nullptr = never cancelled.
     const CancellationToken* cancel = nullptr;
@@ -69,10 +68,6 @@ struct CharacterizationResult {
     /// Full analysis object for figure-level queries (histograms, per-
     /// instruction stats).
     std::shared_ptr<dta::DynamicTimingAnalysis> analysis;
-    /// Merged gate-level artifacts for offline dumps; populated only in
-    /// CharacterizationMode::kMaterialized.
-    std::shared_ptr<const dta::EventLog> event_log;
-    std::shared_ptr<const dta::OccupancyTrace> trace;
 };
 
 class CharacterizationFlow {
@@ -84,7 +79,7 @@ public:
     /// Runs every program through the gate-level-style flow and merges all
     /// cycles into one analysis (the paper's characterization benchmark of
     /// ~14k cycles is a concatenation of kernels and semi-random tests).
-    /// All modes produce byte-identical delay tables; see
+    /// Both modes produce byte-identical delay tables; see
     /// CharacterizationMode / CharacterizationOptions for the trade-offs.
     CharacterizationResult run(const std::vector<assembler::Program>& programs,
                                const CharacterizationOptions& options = {}) const;

@@ -23,9 +23,16 @@ DynamicTimingAnalysis::DynamicTimingAnalysis(PipelineSpec spec, AnalyzerConfig c
     : spec_(std::move(spec)), config_(config) {
     check(!spec_.endpoints.empty(), "pipeline specification has no endpoints");
     check(config_.static_period_ps > 0, "analyzer needs the static period as fallback");
+    // Constant-size figure accumulators: the genie and per-stage delay
+    // distributions at a fixed resolution, so nothing per cycle is kept.
+    const double hi = config_.static_period_ps * 1.02;
+    figure_hists_.reserve(1 + sim::kStageCount);
+    for (int i = 0; i < 1 + sim::kStageCount; ++i) {
+        figure_hists_.emplace_back(0.0, hi, kStreamingFigureBins);
+    }
 }
 
-double DynamicTimingAnalysis::accumulate_cycle(
+void DynamicTimingAnalysis::fold_cycle_delays(
     const std::array<OccKey, sim::kStageCount>& keys,
     const std::array<double, sim::kStageCount>& delays) {
     int limiting = 0;
@@ -52,12 +59,11 @@ double DynamicTimingAnalysis::accumulate_cycle(
             // observations ends up in the retained set with equal
             // probability, so capped histograms stay representative of the
             // whole run instead of its first cap cycles. Hash-derived
-            // indices keep reruns (and the streaming, batched and
-            // materialized paths, which see the same sequence)
-            // bit-identical. The hash is mapped into [0, occurrences) with
-            // a fixed-point multiply (Lemire reduction) — a 64-bit modulo
-            // here costs a hardware divide per stage per cycle in the
-            // characterization hot loop.
+            // indices keep reruns (and the per-cycle and batched paths,
+            // which see the same sequence) bit-identical. The hash is
+            // mapped into [0, occurrences) with a fixed-point multiply
+            // (Lemire reduction) — a 64-bit modulo here costs a hardware
+            // divide per stage per cycle in the characterization hot loop.
             const std::uint64_t slot = splitmix64(
                 (static_cast<std::uint64_t>(key) << 40) ^
                 (static_cast<std::uint64_t>(s) << 32) ^ ks.occurrences);
@@ -68,65 +74,7 @@ double DynamicTimingAnalysis::accumulate_cycle(
             }
         }
     }
-    return delays[static_cast<std::size_t>(limiting)];
-}
-
-void DynamicTimingAnalysis::analyze(const EventLog& log, const OccupancyTrace& trace) {
-    check(!streaming_, "cannot mix materialized analysis with streaming ingestion");
-    // One-shot: a second analyze() would reset the per-cycle state but keep
-    // accumulating key statistics, leaving the instance inconsistent.
-    check(cycles_ == 0, "analyze() may only be called once per instance");
-    const std::uint64_t cycles = trace.size();
-    cycle_delays_.assign(cycles, {});
-    limiting_counts_ = {};
-    cycles_ = cycles;
-
-    // Phase 1 (per-endpoint slack -> per-stage grouping -> per-cycle maxima).
-    // The paper identifies, per endpoint and cycle, the last data event and
-    // relates it to the *next* clock edge at the same endpoint. Events carry
-    // the arrival already normalized by setup and skew (see
-    // GateLevelSimulation::on_cycle), so the dynamic delay requirement is
-    // the arrival field itself — an exact read, with no re-rounding between
-    // the timing model and the per-stage maxima.
-    for (const auto& event : log.events()) {
-        check(event.cycle < cycles, "event log references a cycle beyond the trace");
-        const auto id = static_cast<std::size_t>(event.endpoint_id);
-        check(id < spec_.endpoints.size(), "event log references an unknown endpoint");
-        const auto& info = spec_.endpoints[id];
-        const double required = event.data_arrival_ps;
-        // Dynamic slack against the gate-sim clock (kept as a sanity check
-        // that the relaxed simulation clock never violated timing).
-        const double slack = event.clock_edge_ps - event.data_arrival_ps - info.skew_ps;
-        check(slack >= 0, "gate-level simulation clock violated an endpoint");
-        auto& stage_delay =
-            cycle_delays_[event.cycle][static_cast<std::size_t>(info.stage)];
-        stage_delay = std::max(stage_delay, required);
-    }
-
-    // Phase 2: limiting-stage attribution and per-instruction extraction.
-    for (const auto& entry : trace.entries()) {
-        check(entry.cycle < cycles, "trace cycle out of range");
-        accumulate_cycle(entry.keys, cycle_delays_[entry.cycle]);
-    }
-}
-
-void DynamicTimingAnalysis::ensure_streaming() {
-    check(cycle_delays_.empty(), "cannot mix streaming ingestion with materialized analysis");
-    if (streaming_) return;
-    streaming_ = true;
-    // Constant-size figure accumulators replacing the per-cycle delay
-    // vector of the materialized mode.
-    const double hi = config_.static_period_ps * 1.02;
-    figure_hists_.reserve(1 + sim::kStageCount);
-    for (int i = 0; i < 1 + sim::kStageCount; ++i) {
-        figure_hists_.emplace_back(0.0, hi, kStreamingFigureBins);
-    }
-}
-
-void DynamicTimingAnalysis::fold_cycle_delays(
-    const std::array<OccKey, sim::kStageCount>& keys,
-    const std::array<double, sim::kStageCount>& delays) {
-    const double worst = accumulate_cycle(keys, delays);
+    const double worst = delays[static_cast<std::size_t>(limiting)];
     genie_stats_.add(worst);
     figure_hists_[0].add(worst);
     for (int s = 0; s < sim::kStageCount; ++s) {
@@ -137,16 +85,21 @@ void DynamicTimingAnalysis::fold_cycle_delays(
 
 void DynamicTimingAnalysis::consume_cycle(const TraceEntry& entry,
                                           std::span<const EndpointEvent> events) {
-    ensure_streaming();
-
-    // Same slack recovery as analyze() phase 1, folded into a stack-local
-    // per-stage array instead of the materialized per-cycle vector.
+    // Per-endpoint slack -> per-stage grouping -> the cycle's per-stage
+    // maxima. The paper identifies, per endpoint and cycle, the last data
+    // event and relates it to the *next* clock edge at the same endpoint.
+    // Events carry the arrival already normalized by setup and skew (see
+    // GateLevelSimulation::on_cycle), so the dynamic delay requirement is
+    // the arrival field itself — an exact read, with no re-rounding between
+    // the timing model and the per-stage maxima.
     std::array<double, sim::kStageCount> delays{};
     for (const auto& event : events) {
         const auto id = static_cast<std::size_t>(event.endpoint_id);
         check(id < spec_.endpoints.size(), "event stream references an unknown endpoint");
         const auto& info = spec_.endpoints[id];
         const double required = event.data_arrival_ps;
+        // Dynamic slack against the gate-sim clock (kept as a sanity check
+        // that the relaxed simulation clock never violated timing).
         const double slack = event.clock_edge_ps - event.data_arrival_ps - info.skew_ps;
         check(slack >= 0, "gate-level simulation clock violated an endpoint");
         auto& stage_delay = delays[static_cast<std::size_t>(info.stage)];
@@ -157,7 +110,6 @@ void DynamicTimingAnalysis::consume_cycle(const TraceEntry& entry,
 }
 
 void DynamicTimingAnalysis::consume_batch(std::span<const FoldedCycle> batch) {
-    ensure_streaming();
     // The endpoint kernel already reduced each cycle's events to per-stage
     // maxima with the exact slack arithmetic of consume_cycle, so the fold
     // is a straight block replay of the shared extraction step.
@@ -165,33 +117,14 @@ void DynamicTimingAnalysis::consume_batch(std::span<const FoldedCycle> batch) {
 }
 
 Histogram DynamicTimingAnalysis::genie_histogram(int bins) const {
-    if (streaming_) return figure_hists_[0].coarsened(bins);
-    Histogram h(0.0, config_.static_period_ps * 1.02, bins);
-    for (const auto& delays : cycle_delays_) {
-        h.add(*std::max_element(delays.begin(), delays.end()));
-    }
-    return h;
+    return figure_hists_[0].coarsened(bins);
 }
 
 Histogram DynamicTimingAnalysis::stage_histogram(sim::Stage stage, int bins) const {
-    if (streaming_) {
-        return figure_hists_[1 + static_cast<std::size_t>(stage)].coarsened(bins);
-    }
-    Histogram h(0.0, config_.static_period_ps * 1.02, bins);
-    for (const auto& delays : cycle_delays_) {
-        h.add(delays[static_cast<std::size_t>(stage)]);
-    }
-    return h;
+    return figure_hists_[1 + static_cast<std::size_t>(stage)].coarsened(bins);
 }
 
-double DynamicTimingAnalysis::genie_mean_period_ps() const {
-    if (streaming_) return genie_stats_.mean();
-    RunningStats stats;
-    for (const auto& delays : cycle_delays_) {
-        stats.add(*std::max_element(delays.begin(), delays.end()));
-    }
-    return stats.mean();
-}
+double DynamicTimingAnalysis::genie_mean_period_ps() const { return genie_stats_.mean(); }
 
 const KeyStageStats& DynamicTimingAnalysis::stats(OccKey key, Stage stage) const {
     check(key >= 0 && key < kKeyCount, "key out of range");

@@ -1,21 +1,21 @@
 // Dynamic timing analysis (the paper's Perl DTA tool + Matlab extraction).
 //
-// Consumes the endpoint event log and the aligned occupancy trace, and for
-// every cycle: recovers per-endpoint dynamic slack (relating each data
-// arrival to the *skewed* clock edge of the same endpoint and its setup
-// time), groups endpoints into pipeline stages via the pipeline
+// Consumes the endpoint event stream and the aligned occupancy attribution,
+// and for every cycle: recovers per-endpoint dynamic slack (relating each
+// data arrival to the *skewed* clock edge of the same endpoint and its
+// setup time), groups endpoints into pipeline stages via the pipeline
 // specification, takes per-stage maxima, attributes them to the occupying
 // instructions, and finally extracts per-(instruction, stage) worst-case
 // delays that populate the delay LUT.
 //
-// Two ingestion modes share the same extraction arithmetic:
-//  - analyze(log, trace): offline analysis of a materialized event log
-//    (events in any order), retaining per-cycle delays for figure queries.
-//  - consume_cycle(...): incremental streaming mode (EventSink). Events are
-//    folded into the per-(key, stage) worst-delay accumulators as they
-//    arrive, cycle by cycle; nothing is materialized, so peak memory is
-//    independent of the number of cycles. Produces delay tables
-//    byte-identical to the materialized path over the same cycle stream.
+// Ingestion is incremental and cycle-ordered; nothing per cycle is
+// retained, so peak memory is independent of the number of cycles. Two
+// entry points share the same extraction arithmetic:
+//  - consume_cycle(...) (EventSink): one cycle's raw endpoint events, fed
+//    by GateLevelSimulation — the per-cycle reference path.
+//  - consume_batch(...): blocks of cycles already reduced to per-stage
+//    maxima by the batched engine (the production path), byte-identical to
+//    consume_cycle over the same cycle stream.
 #pragma once
 
 #include <array>
@@ -54,9 +54,9 @@ struct AnalyzerConfig {
     int sample_cap = 8192;
 };
 
-/// Fixed resolution of the streaming-mode figure accumulators. Figure
-/// queries (genie_histogram, stage_histogram) serve any bin count that
-/// divides this (covers the 32/40/50-bin figures of the benches).
+/// Fixed resolution of the figure accumulators. Figure queries
+/// (genie_histogram, stage_histogram) serve any bin count that divides
+/// this (covers the 32/40/50-bin figures of the benches).
 inline constexpr int kStreamingFigureBins = 1600;
 
 /// Aggregated delay statistics of one (instruction key, stage) pair.
@@ -70,18 +70,13 @@ class DynamicTimingAnalysis final : public EventSink {
 public:
     DynamicTimingAnalysis(PipelineSpec spec, AnalyzerConfig config);
 
-    /// Runs the offline analysis. Events may arrive in any order; the trace
-    /// must contain every cycle referenced by an event. Cannot be combined
-    /// with streaming ingestion on the same instance.
-    void analyze(const EventLog& log, const OccupancyTrace& trace);
-
-    /// Streaming ingestion (EventSink): folds one cycle's endpoint events
+    /// Per-cycle ingestion (EventSink): folds one cycle's endpoint events
     /// and occupancy into the accumulators. Call once per cycle, in cycle
     /// order; chain multiple programs by simply continuing to call it.
     void consume_cycle(const TraceEntry& entry,
                        std::span<const EndpointEvent> events) override;
 
-    /// Batched streaming ingestion: folds a block of cycles whose endpoint
+    /// Batched ingestion: folds a block of cycles whose endpoint
     /// events were already reduced to per-stage maxima by the batch
     /// endpoint kernel (BatchCharacterizationEngine). Cycles must arrive in
     /// order across calls; produces accumulator states byte-identical to
@@ -89,17 +84,12 @@ public:
     void consume_batch(std::span<const FoldedCycle> batch);
 
     // ---- Per-cycle results (paper Figs. 5/6) -------------------------------
-    /// Recovered per-cycle per-stage maximum dynamic delays. Materialized
-    /// mode only: empty after streaming ingestion (nothing is retained).
-    const std::vector<std::array<double, sim::kStageCount>>& cycle_stage_delays() const {
-        return cycle_delays_;
-    }
-    /// Histogram of per-cycle maxima over all stages (Fig. 5). In streaming
-    /// mode `bins` must divide kStreamingFigureBins.
+    /// Histogram of per-cycle maxima over all stages (Fig. 5). `bins` must
+    /// divide kStreamingFigureBins.
     Histogram genie_histogram(int bins = 50) const;
     /// Histogram of one stage's per-cycle maximum delays (the "dynamic
     /// slack distributions ... at pipeline stage granularity" of Sec. II-B).
-    /// In streaming mode `bins` must divide kStreamingFigureBins.
+    /// `bins` must divide kStreamingFigureBins.
     Histogram stage_histogram(sim::Stage stage, int bins = 50) const;
     /// Mean of the per-cycle maxima: the genie-aided average clock period.
     double genie_mean_period_ps() const;
@@ -119,33 +109,22 @@ public:
     DelayTable build_delay_table() const;
 
 private:
-    /// Shared extraction step of both modes: limiting-stage attribution and
-    /// per-(key, stage) statistics for one cycle. Returns the cycle's worst
-    /// stage delay (the genie period of that cycle).
-    double accumulate_cycle(const std::array<OccKey, sim::kStageCount>& keys,
-                            const std::array<double, sim::kStageCount>& delays);
-
-    /// Enters streaming mode on first use (allocates the fixed-resolution
-    /// figure accumulators) and rejects mixing with analyze().
-    void ensure_streaming();
-
-    /// Streaming fold of one cycle whose per-stage delays are already
-    /// reduced; shared by consume_cycle and consume_batch.
+    /// Fold of one cycle whose per-stage delays are already reduced, shared
+    /// by consume_cycle and consume_batch: limiting-stage attribution,
+    /// per-(key, stage) statistics and the figure accumulators.
     void fold_cycle_delays(const std::array<OccKey, sim::kStageCount>& keys,
                            const std::array<double, sim::kStageCount>& delays);
 
     PipelineSpec spec_;
     AnalyzerConfig config_;
     std::uint64_t cycles_ = 0;
-    bool streaming_ = false;
-    std::vector<std::array<double, sim::kStageCount>> cycle_delays_;
     std::array<std::uint64_t, sim::kStageCount> limiting_counts_{};
     std::array<std::array<KeyStageStats, sim::kStageCount>, kKeyCount> key_stats_{};
     // Raw samples per (key, stage) for histogram rendering; reservoir-
     // bounded by config_.sample_cap to keep memory independent of the run
     // length while remaining representative of the whole run.
     std::array<std::array<std::vector<float>, sim::kStageCount>, kKeyCount> key_samples_;
-    // Streaming-mode figure accumulators (fixed binning, constant memory):
+    // Figure accumulators (fixed binning, constant memory):
     // [0] = genie (per-cycle maxima), [1 + stage] = per-stage delays.
     std::vector<Histogram> figure_hists_;
     RunningStats genie_stats_;

@@ -1,7 +1,8 @@
-// Endpoint event log — the equivalent of the paper's TSSI event log
-// produced by SDF gate-level simulation.
+// Endpoint event stream — the equivalent of the paper's TSSI event log
+// produced by SDF gate-level simulation, handed to the analyzer one cycle
+// at a time instead of being written out.
 //
-// For every clock cycle and sequential endpoint the log records the
+// For every clock cycle and sequential endpoint an event records the
 // endpoint's dynamic delay requirement (the last data-input event already
 // normalized by the endpoint's setup margin and clock skew) and the arrival
 // of the next active clock edge at that same endpoint (which differs per
@@ -12,10 +13,9 @@
 // (the invariant behind DelayTable's scaled voltage views).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
-#include <string>
-#include <vector>
 
 #include "dta/delay_table.hpp"
 #include "sim/cycle_record.hpp"
@@ -47,13 +47,12 @@ struct FoldedCycle {
     std::array<double, sim::kStageCount> stage_ps{};
 };
 
-/// Per-cycle consumer of the gate-level endpoint event stream: the streaming
-/// counterpart of a materialized (EventLog, OccupancyTrace) pair. A producer
+/// Per-cycle consumer of the gate-level endpoint event stream. A producer
 /// (GateLevelSimulation) invokes consume_cycle exactly once per simulated
 /// cycle, in cycle order, with the cycle's occupancy attribution and every
 /// endpoint event of that cycle. Consumers fold events on the fly, so peak
-/// memory stays independent of the number of simulated cycles instead of
-/// materializing the O(cycles x endpoints) log.
+/// memory stays independent of the number of simulated cycles: the
+/// O(cycles x endpoints) log is never stored.
 class EventSink {
 public:
     virtual ~EventSink() = default;
@@ -63,43 +62,6 @@ public:
     /// the producer's local cycle counter.
     virtual void consume_cycle(const TraceEntry& entry,
                                std::span<const EndpointEvent> events) = 0;
-};
-
-/// In-memory event log with text (de)serialization.
-class EventLog {
-public:
-    void add(EndpointEvent event) { events_.push_back(event); }
-    /// Bulk-appends a batch of events (e.g. one cycle's scratch buffer).
-    void append(std::span<const EndpointEvent> events) {
-        events_.insert(events_.end(), events.begin(), events.end());
-    }
-    /// Bulk-appends one producer's events, shifting cycles by `cycle_offset`
-    /// (concatenating per-program timelines into one global timeline).
-    void append_shifted(const EventLog& other, std::uint64_t cycle_offset);
-    const std::vector<EndpointEvent>& events() const { return events_; }
-    std::size_t size() const { return events_.size(); }
-
-    std::string serialize() const;
-    static EventLog deserialize(const std::string& text);
-
-private:
-    std::vector<EndpointEvent> events_;
-};
-
-/// Occupancy trace with text (de)serialization.
-class OccupancyTrace {
-public:
-    void add(TraceEntry entry) { entries_.push_back(entry); }
-    /// Bulk-appends another trace with its cycles shifted by `cycle_offset`.
-    void append_shifted(const OccupancyTrace& other, std::uint64_t cycle_offset);
-    const std::vector<TraceEntry>& entries() const { return entries_; }
-    std::size_t size() const { return entries_.size(); }
-
-    std::string serialize() const;
-    static OccupancyTrace deserialize(const std::string& text);
-
-private:
-    std::vector<TraceEntry> entries_;
 };
 
 }  // namespace focs::dta

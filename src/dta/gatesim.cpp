@@ -7,21 +7,14 @@ namespace focs::dta {
 
 GateLevelSimulation::GateLevelSimulation(const timing::SyntheticNetlist& netlist,
                                          const timing::DelayCalculator& calculator,
-                                         double sim_period_factor)
-    : soa_(netlist.endpoint_soa()), calculator_(calculator) {
+                                         EventSink& sink, double sim_period_factor)
+    : soa_(netlist.endpoint_soa()), calculator_(calculator), sink_(sink) {
     check(sim_period_factor >= 1.0, "gate-sim clock must be at or below the STA frequency");
     sim_period_ps_ = calculator.static_period_ps() * sim_period_factor;
     for (int s = 0; s < sim::kStageCount; ++s) {
         check(soa_.stage_size(s) > 0, "netlist has a stage without endpoints");
     }
     cycle_events_.reserve(soa_.size());
-}
-
-GateLevelSimulation::GateLevelSimulation(const timing::SyntheticNetlist& netlist,
-                                         const timing::DelayCalculator& calculator,
-                                         EventSink& sink, double sim_period_factor)
-    : GateLevelSimulation(netlist, calculator, sim_period_factor) {
-    sink_ = &sink;
 }
 
 void GateLevelSimulation::on_cycle(const sim::CycleRecord& record) {
@@ -65,14 +58,7 @@ void GateLevelSimulation::on_cycle(const sim::CycleRecord& record) {
         }
     }
     ++cycles_observed_;
-
-    if (sink_ != nullptr) {
-        sink_->consume_cycle(trace_entry, cycle_events_);
-        return;
-    }
-    reference_delays_.push_back(delays.stage_ps);
-    trace_.add(trace_entry);
-    event_log_.append(cycle_events_);
+    sink_.consume_cycle(trace_entry, cycle_events_);
 }
 
 }  // namespace focs::dta

@@ -3,20 +3,17 @@
 // Attaches to the cycle-accurate pipeline and produces, per cycle, the
 // endpoint event stream (data arrivals vs. per-endpoint clock edges) that
 // the paper obtains from SDF-annotated ModelSim runs, plus the aligned
-// occupancy trace. The pipeline runs at a deliberately relaxed simulation
-// clock (paper: "at a low clock frequency") so every arrival is observable.
+// occupancy attribution. The pipeline runs at a deliberately relaxed
+// simulation clock (paper: "at a low clock frequency") so every arrival is
+// observable.
 //
-// Two output modes:
-//  - materialized (default): events and trace accumulate in an EventLog /
-//    OccupancyTrace for offline analysis, serialization and golden tests;
-//    also records the ground-truth per-cycle reference delays.
-//  - streaming: construct with an EventSink; each cycle's events are built
-//    in a reused scratch buffer and handed to the sink immediately, so the
-//    observer allocates nothing per cycle and peak memory is independent of
-//    the number of simulated cycles.
+// Each cycle's events are built in a reused scratch buffer and handed to an
+// EventSink immediately, so the observer allocates nothing per cycle and
+// peak memory is independent of the number of simulated cycles. This is the
+// per-cycle reference of the event-level protocol; the batched engine
+// (dta/batch_engine.hpp) must reproduce what a sink sees here bit for bit.
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "dta/event_log.hpp"
@@ -28,33 +25,17 @@ namespace focs::dta {
 
 class GateLevelSimulation : public sim::PipelineObserver {
 public:
-    /// Materialized mode. `netlist` and `calculator` must outlive the
-    /// observer. `sim_period_factor` sets the relaxed gate-sim clock as a
-    /// multiple of the design's static period.
-    GateLevelSimulation(const timing::SyntheticNetlist& netlist,
-                        const timing::DelayCalculator& calculator,
-                        double sim_period_factor = 1.25);
-
-    /// Streaming mode: every cycle is forwarded to `sink` instead of being
-    /// materialized. `sink` must outlive the observer.
+    /// Forwards every cycle to `sink`. `netlist`, `calculator` and `sink`
+    /// must outlive the observer. `sim_period_factor` sets the relaxed
+    /// gate-sim clock as a multiple of the design's static period.
     GateLevelSimulation(const timing::SyntheticNetlist& netlist,
                         const timing::DelayCalculator& calculator, EventSink& sink,
                         double sim_period_factor = 1.25);
 
     void on_cycle(const sim::CycleRecord& record) override;
 
-    /// Materialized-mode accessors (empty in streaming mode).
-    const EventLog& event_log() const { return event_log_; }
-    const OccupancyTrace& trace() const { return trace_; }
     double sim_period_ps() const { return sim_period_ps_; }
     std::uint64_t cycles_observed() const { return cycles_observed_; }
-
-    /// Ground-truth per-cycle stage delays (used by tests to verify that
-    /// the analyzer recovers them exactly from the event log). Materialized
-    /// mode only.
-    const std::vector<std::array<double, sim::kStageCount>>& reference_delays() const {
-        return reference_delays_;
-    }
 
 private:
     /// Stage-major SoA endpoint view (contiguous skew/setup/hash-key loads;
@@ -62,13 +43,10 @@ private:
     /// of being rederived per endpoint per cycle).
     const timing::EndpointSoA& soa_;
     const timing::DelayCalculator& calculator_;
-    EventSink* sink_ = nullptr;
+    EventSink& sink_;
     double sim_period_ps_;
     std::vector<EndpointEvent> cycle_events_;  ///< per-cycle scratch, reused
     std::uint64_t cycles_observed_ = 0;
-    EventLog event_log_;
-    OccupancyTrace trace_;
-    std::vector<std::array<double, sim::kStageCount>> reference_delays_;
 };
 
 }  // namespace focs::dta

@@ -191,10 +191,11 @@ TEST(Flows, CharacterizationProducesCompleteTable) {
     }
 }
 
-TEST(Flows, StreamingMatchesMaterializedAcrossKernelsAndVoltages) {
-    // The acceptance bar of the streaming characterization path: for every
-    // operating point, the single-pass streaming flow and the materialized
-    // merged-log flow must serialize byte-identical delay tables.
+TEST(Flows, BatchedMatchesStreamingAcrossKernelsAndVoltages) {
+    // The acceptance bar of the batched characterization engine: for every
+    // operating point, the batched flow (the default mode), serial and with
+    // intra-flow worker threads, must serialize the same delay table as the
+    // per-cycle streaming reference.
     const std::vector<assembler::Program> programs = workloads::assemble_programs(
         {workloads::find_kernel("crc32"), workloads::find_kernel("fir"),
          workloads::find_kernel("bubblesort"), workloads::find_kernel("fsm")});
@@ -203,21 +204,6 @@ TEST(Flows, StreamingMatchesMaterializedAcrossKernelsAndVoltages) {
         design.voltage_v = voltage;
         const CharacterizationFlow flow(design);
         const auto streaming = flow.run(programs, CharacterizationMode::kStreaming);
-        const auto materialized = flow.run(programs, CharacterizationMode::kMaterialized);
-        EXPECT_EQ(streaming.table.serialize(), materialized.table.serialize()) << voltage;
-        EXPECT_EQ(streaming.cycles, materialized.cycles) << voltage;
-        EXPECT_DOUBLE_EQ(streaming.genie_mean_period_ps, materialized.genie_mean_period_ps)
-            << voltage;
-        // Only the materialized mode exposes the merged gate-level log for
-        // offline dumps; its text round trip re-derives the same LUT.
-        EXPECT_EQ(streaming.event_log, nullptr);
-        ASSERT_NE(materialized.event_log, nullptr);
-        ASSERT_NE(materialized.trace, nullptr);
-        EXPECT_EQ(materialized.event_log->size(),
-                  materialized.trace->size() * flow.netlist().endpoints().size());
-
-        // The batched engine (the default mode) must agree too, serial and
-        // with intra-flow worker threads.
         for (const int threads : {1, 4}) {
             CharacterizationOptions options;
             options.threads = threads;
@@ -226,8 +212,7 @@ TEST(Flows, StreamingMatchesMaterializedAcrossKernelsAndVoltages) {
             EXPECT_EQ(batched.table.serialize(), streaming.table.serialize())
                 << voltage << " threads " << threads;
             EXPECT_EQ(batched.cycles, streaming.cycles);
-            EXPECT_DOUBLE_EQ(batched.genie_mean_period_ps, streaming.genie_mean_period_ps);
-            EXPECT_EQ(batched.event_log, nullptr);
+            EXPECT_EQ(batched.genie_mean_period_ps, streaming.genie_mean_period_ps);
         }
     }
 }

@@ -1,14 +1,16 @@
-// Dynamic timing analysis tests: delay table, event log round trips, the
-// gate-level-simulation observer, and analyzer recovery of the reference
-// per-cycle delays (including clock skew and setup handling).
+// Dynamic timing analysis tests: delay table, the gate-level-simulation
+// observer, analyzer recovery of the model's per-cycle ground truth
+// (including clock skew and setup handling), and the batched engine's
+// byte identity with the per-cycle streaming path.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "asm/assembler.hpp"
 #include "common/error.hpp"
 #include "dta/analyzer.hpp"
 #include "dta/batch_engine.hpp"
 #include "dta/delay_table.hpp"
-#include "dta/event_log.hpp"
 #include "dta/gatesim.hpp"
 #include "sim/machine.hpp"
 #include "timing/delay_model.hpp"
@@ -158,103 +160,160 @@ TEST(Keys, Names) {
     EXPECT_EQ(key_name(static_cast<OccKey>(isa::Opcode::kMul)), "l.mul");
 }
 
-// ---- Event log / trace round trips ------------------------------------------
-
-TEST(EventLog, SerializeRoundTrip) {
-    EventLog log;
-    log.add({3, 14, 1234.5, 2532.5});
-    log.add({4, 2, 999.25, 2500.0});
-    const EventLog copy = EventLog::deserialize(log.serialize());
-    ASSERT_EQ(copy.size(), 2u);
-    EXPECT_EQ(copy.events()[0].cycle, 3u);
-    EXPECT_EQ(copy.events()[1].endpoint_id, 2);
-    EXPECT_NEAR(copy.events()[0].data_arrival_ps, 1234.5, 1e-3);
-}
-
-TEST(OccupancyTraceIo, SerializeRoundTrip) {
-    OccupancyTrace trace;
-    TraceEntry entry;
-    entry.cycle = 9;
-    entry.keys = {1, 2, 3, kKeyBubble, kKeyHeld, 0};
-    trace.add(entry);
-    const OccupancyTrace copy = OccupancyTrace::deserialize(trace.serialize());
-    ASSERT_EQ(copy.size(), 1u);
-    EXPECT_EQ(copy.entries()[0].keys[3], kKeyBubble);
-}
-
-TEST(EventLog, DeserializeRejectsGarbage) {
-    EXPECT_THROW(EventLog::deserialize("bogus\n"), ParseError);
-    EXPECT_THROW(OccupancyTrace::deserialize("occupancy_trace v1\n1 2 3\n"), ParseError);
-}
-
 // ---- Gate-level simulation + analyzer -----------------------------------------
 
-struct FlowArtifacts {
-    EventLog log;
-    OccupancyTrace trace;
-    std::vector<std::array<double, sim::kStageCount>> reference;
-    double static_period_ps = 0;
+/// Per-cycle ground truth of a gate-level run: the timing model's per-stage
+/// delays and the occupancy attribution, straight from the cycle records.
+struct GroundTruth {
+    std::vector<std::array<OccKey, sim::kStageCount>> keys;
+    std::vector<std::array<double, sim::kStageCount>> stage_ps;
 };
 
-FlowArtifacts run_gatesim(const std::string& kernel_name) {
+/// Fan-out observer: records each cycle's ground truth, then forwards the
+/// cycle to a streaming GateLevelSimulation that feeds `sink`. The analyzer
+/// only ever sees the endpoint events, so comparing its accumulators with
+/// the recorded truth checks the whole event-level recovery.
+class GroundTruthTap final : public sim::PipelineObserver {
+public:
+    GroundTruthTap(const timing::SyntheticNetlist& netlist,
+                   const timing::DelayCalculator& calculator, EventSink& sink, GroundTruth& truth)
+        : calculator_(calculator), gatesim_(netlist, calculator, sink), truth_(truth) {}
+
+    void on_cycle(const sim::CycleRecord& record) override {
+        truth_.stage_ps.push_back(calculator_.evaluate(record).stage_ps);
+        truth_.keys.push_back(attribution_keys(record));
+        gatesim_.on_cycle(record);
+    }
+
+    std::uint64_t cycles_observed() const { return gatesim_.cycles_observed(); }
+
+private:
+    const timing::DelayCalculator& calculator_;
+    GateLevelSimulation gatesim_;
+    GroundTruth& truth_;
+};
+
+AnalyzerConfig default_config() {
+    AnalyzerConfig config;
+    config.static_period_ps = timing::DelayCalculator({}).static_period_ps();
+    return config;
+}
+
+const PipelineSpec& default_spec() {
+    static const PipelineSpec spec = PipelineSpec::from_netlist(timing::SyntheticNetlist::generate({}));
+    return spec;
+}
+
+/// Runs `kernels` back to back through the streaming gate-level simulation
+/// into `analysis` (one analyzer chained over every program, as
+/// CharacterizationFlow's streaming mode does) and returns the ground truth
+/// of the concatenated cycle stream.
+GroundTruth run_gatesim(const std::vector<const char*>& kernels, DynamicTimingAnalysis& analysis) {
     const timing::DesignConfig design;
     static const auto netlist = timing::SyntheticNetlist::generate({});
     const timing::DelayCalculator calculator(design);
-    sim::Machine machine;
-    machine.load(assembler::assemble(workloads::find_kernel(kernel_name).source));
-    GateLevelSimulation gatesim(netlist, calculator);
-    machine.run(&gatesim);
-    return {gatesim.event_log(), gatesim.trace(), gatesim.reference_delays(),
-            calculator.static_period_ps()};
+    GroundTruth truth;
+    for (const char* kernel : kernels) {
+        const std::size_t before = truth.stage_ps.size();
+        sim::Machine machine;
+        machine.load(assembler::assemble(workloads::find_kernel(kernel).source));
+        GroundTruthTap tap(netlist, calculator, analysis, truth);
+        machine.run(&tap);
+        EXPECT_GT(tap.cycles_observed(), 0u);
+        EXPECT_EQ(tap.cycles_observed(), truth.stage_ps.size() - before);
+    }
+    return truth;
 }
 
-TEST(Analyzer, RecoversReferenceDelaysExactly) {
-    const auto artifacts = run_gatesim("crc32");
-    AnalyzerConfig config;
-    config.static_period_ps = artifacts.static_period_ps;
-    DynamicTimingAnalysis analysis(PipelineSpec::from_netlist(timing::SyntheticNetlist::generate({})),
-                                   config);
-    analysis.analyze(artifacts.log, artifacts.trace);
-    ASSERT_EQ(analysis.cycles(), artifacts.reference.size());
-    // The analyzer reconstructs per-stage delays from raw endpoint events;
-    // events carry the endpoint's required period directly, so recovery is
-    // an identity and must match the model's ground truth bit for bit (the
-    // nominal-once characterization rests on this exactness).
-    for (std::size_t c = 0; c < artifacts.reference.size(); c += 7) {
-        for (int s = 0; s < sim::kStageCount; ++s) {
-            EXPECT_EQ(analysis.cycle_stage_delays()[c][static_cast<std::size_t>(s)],
-                      artifacts.reference[c][static_cast<std::size_t>(s)])
-                << "cycle " << c << " stage " << s;
+/// Bit-exact histogram comparison: same binning, counts and sample stats.
+void expect_identical_histograms(const Histogram& a, const Histogram& b) {
+    ASSERT_EQ(a.bins(), b.bins());
+    ASSERT_EQ(a.lo(), b.lo());
+    ASSERT_EQ(a.hi(), b.hi());
+    for (int bin = 0; bin < a.bins(); ++bin) ASSERT_EQ(a.count(bin), b.count(bin)) << bin;
+    ASSERT_EQ(a.total(), b.total());
+    ASSERT_EQ(a.stats().mean(), b.stats().mean());
+    ASSERT_EQ(a.stats().min(), b.stats().min());
+    ASSERT_EQ(a.stats().max(), b.stats().max());
+}
+
+/// Rebuilds every accumulator the analyzer exposes directly from the
+/// ground truth, in cycle order, and requires the analyzer's values to be
+/// bit-identical: events carry each endpoint's required period, so the
+/// per-stage recovery must be an exact identity (the nominal-once
+/// characterization rests on this exactness).
+void expect_recovers_ground_truth(const DynamicTimingAnalysis& analysis,
+                                  const GroundTruth& truth) {
+    const double static_ps = default_config().static_period_ps;
+    ASSERT_EQ(analysis.cycles(), truth.stage_ps.size());
+    std::array<std::array<KeyStageStats, sim::kStageCount>, kKeyCount> key_stats{};
+    std::array<std::uint64_t, sim::kStageCount> limiting{};
+    RunningStats genie;
+    Histogram genie_hist(0.0, static_ps * 1.02, kStreamingFigureBins);
+    std::vector<Histogram> stage_hists(sim::kStageCount,
+                                       Histogram(0.0, static_ps * 1.02, kStreamingFigureBins));
+    for (std::size_t c = 0; c < truth.stage_ps.size(); ++c) {
+        const auto& delays = truth.stage_ps[c];
+        const auto worst = std::max_element(delays.begin(), delays.end());
+        ++limiting[static_cast<std::size_t>(worst - delays.begin())];
+        genie.add(*worst);
+        genie_hist.add(*worst);
+        for (std::size_t s = 0; s < delays.size(); ++s) {
+            auto& ks = key_stats[static_cast<std::size_t>(truth.keys[c][s])][s];
+            ++ks.occurrences;
+            ks.max_ps = std::max(ks.max_ps, delays[s]);
+            ks.stats.add(delays[s]);
+            stage_hists[s].add(delays[s]);
         }
+    }
+
+    for (OccKey key = 0; key < kKeyCount; ++key) {
+        for (int s = 0; s < sim::kStageCount; ++s) {
+            SCOPED_TRACE("key " + std::string(key_name(key)) + " stage " + std::to_string(s));
+            const auto& got = analysis.stats(key, static_cast<Stage>(s));
+            const auto& want = key_stats[static_cast<std::size_t>(key)][static_cast<std::size_t>(s)];
+            ASSERT_EQ(got.occurrences, want.occurrences);
+            ASSERT_EQ(got.max_ps, want.max_ps);
+            ASSERT_EQ(got.stats.mean(), want.stats.mean());
+            ASSERT_EQ(got.stats.min(), want.stats.min());
+            ASSERT_EQ(got.stats.max(), want.stats.max());
+        }
+    }
+    EXPECT_EQ(analysis.limiting_stage_counts(), limiting);
+    EXPECT_EQ(analysis.genie_mean_period_ps(), genie.mean());
+    expect_identical_histograms(analysis.genie_histogram(kStreamingFigureBins), genie_hist);
+    for (int s = 0; s < sim::kStageCount; ++s) {
+        SCOPED_TRACE("stage " + std::to_string(s));
+        expect_identical_histograms(
+            analysis.stage_histogram(static_cast<Stage>(s), kStreamingFigureBins),
+            stage_hists[static_cast<std::size_t>(s)]);
     }
 }
 
+TEST(Analyzer, RecoversReferenceDelaysExactly) {
+    DynamicTimingAnalysis analysis(default_spec(), default_config());
+    const GroundTruth truth = run_gatesim({"crc32"}, analysis);
+    expect_recovers_ground_truth(analysis, truth);
+}
+
 TEST(Analyzer, LutDominatesEveryObservation) {
-    const auto artifacts = run_gatesim("fir");
-    AnalyzerConfig config;
-    config.static_period_ps = artifacts.static_period_ps;
-    DynamicTimingAnalysis analysis(PipelineSpec::from_netlist(timing::SyntheticNetlist::generate({})),
-                                   config);
-    analysis.analyze(artifacts.log, artifacts.trace);
+    DynamicTimingAnalysis analysis(default_spec(), default_config());
+    const GroundTruth truth = run_gatesim({"fir"}, analysis);
     const DelayTable table = analysis.build_delay_table();
-    for (std::size_t c = 0; c < artifacts.reference.size(); ++c) {
-        const auto& entry = artifacts.trace.entries()[c];
+    for (std::size_t c = 0; c < truth.stage_ps.size(); ++c) {
         for (int s = 0; s < sim::kStageCount; ++s) {
-            const double lut = table.lookup(entry.keys[static_cast<std::size_t>(s)],
+            const double lut = table.lookup(truth.keys[c][static_cast<std::size_t>(s)],
                                             static_cast<Stage>(s));
-            EXPECT_GE(lut + 1e-9, artifacts.reference[c][static_cast<std::size_t>(s)])
+            EXPECT_GE(lut + 1e-9, truth.stage_ps[c][static_cast<std::size_t>(s)])
                 << "cycle " << c << " stage " << s;
         }
     }
 }
 
 TEST(Analyzer, EntriesNeverExceedStatic) {
-    const auto artifacts = run_gatesim("char_mul_div");
-    AnalyzerConfig config;
-    config.static_period_ps = artifacts.static_period_ps;
-    DynamicTimingAnalysis analysis(PipelineSpec::from_netlist(timing::SyntheticNetlist::generate({})),
-                                   config);
-    analysis.analyze(artifacts.log, artifacts.trace);
+    const AnalyzerConfig config = default_config();
+    DynamicTimingAnalysis analysis(default_spec(), config);
+    run_gatesim({"char_mul_div"}, analysis);
     const DelayTable table = analysis.build_delay_table();
     for (OccKey key = 0; key < kKeyCount; ++key) {
         for (int s = 0; s < sim::kStageCount; ++s) {
@@ -264,13 +323,10 @@ TEST(Analyzer, EntriesNeverExceedStatic) {
 }
 
 TEST(Analyzer, MinOccurrencesFallsBackToStatic) {
-    const auto artifacts = run_gatesim("fibcall");
-    AnalyzerConfig config;
-    config.static_period_ps = artifacts.static_period_ps;
+    AnalyzerConfig config = default_config();
     config.min_occurrences = 1 << 30;  // nothing qualifies
-    DynamicTimingAnalysis analysis(PipelineSpec::from_netlist(timing::SyntheticNetlist::generate({})),
-                                   config);
-    analysis.analyze(artifacts.log, artifacts.trace);
+    DynamicTimingAnalysis analysis(default_spec(), config);
+    run_gatesim({"fibcall"}, analysis);
     const DelayTable table = analysis.build_delay_table();
     for (OccKey key = 0; key < kKeyCount; ++key) {
         for (int s = 0; s < sim::kStageCount; ++s) {
@@ -280,12 +336,9 @@ TEST(Analyzer, MinOccurrencesFallsBackToStatic) {
 }
 
 TEST(Analyzer, GenieMeanBelowStatic) {
-    const auto artifacts = run_gatesim("bubblesort");
-    AnalyzerConfig config;
-    config.static_period_ps = artifacts.static_period_ps;
-    DynamicTimingAnalysis analysis(PipelineSpec::from_netlist(timing::SyntheticNetlist::generate({})),
-                                   config);
-    analysis.analyze(artifacts.log, artifacts.trace);
+    const AnalyzerConfig config = default_config();
+    DynamicTimingAnalysis analysis(default_spec(), config);
+    run_gatesim({"bubblesort"}, analysis);
     EXPECT_GT(analysis.genie_mean_period_ps(), 0.0);
     EXPECT_LT(analysis.genie_mean_period_ps(), config.static_period_ps);
     // The histogram of per-cycle maxima agrees with the mean accessor.
@@ -293,118 +346,25 @@ TEST(Analyzer, GenieMeanBelowStatic) {
 }
 
 TEST(Analyzer, LimitingStageCountsSumToCycles) {
-    const auto artifacts = run_gatesim("matmult");
-    AnalyzerConfig config;
-    config.static_period_ps = artifacts.static_period_ps;
-    DynamicTimingAnalysis analysis(PipelineSpec::from_netlist(timing::SyntheticNetlist::generate({})),
-                                   config);
-    analysis.analyze(artifacts.log, artifacts.trace);
+    DynamicTimingAnalysis analysis(default_spec(), default_config());
+    run_gatesim({"matmult"}, analysis);
     std::uint64_t total = 0;
     for (const auto count : analysis.limiting_stage_counts()) total += count;
     EXPECT_EQ(total, analysis.cycles());
 }
 
-TEST(Analyzer, OfflineFileFlowMatchesInMemory) {
-    // The paper's flow is offline: the gate-level simulator writes the
-    // event log to disk (TSSI), the DTA tool reads it back. Serializing the
-    // log and trace through text and re-analyzing must produce a
-    // byte-identical LUT.
-    const auto artifacts = run_gatesim("fsm");
-    AnalyzerConfig config;
-    config.static_period_ps = artifacts.static_period_ps;
-    const auto spec = PipelineSpec::from_netlist(timing::SyntheticNetlist::generate({}));
-
-    DynamicTimingAnalysis direct(spec, config);
-    direct.analyze(artifacts.log, artifacts.trace);
-
-    const EventLog reloaded_log = EventLog::deserialize(artifacts.log.serialize());
-    const OccupancyTrace reloaded_trace =
-        OccupancyTrace::deserialize(artifacts.trace.serialize());
-    DynamicTimingAnalysis offline(spec, config);
-    offline.analyze(reloaded_log, reloaded_trace);
-
-    EXPECT_EQ(direct.build_delay_table().serialize(), offline.build_delay_table().serialize());
-    EXPECT_NEAR(direct.genie_mean_period_ps(), offline.genie_mean_period_ps(), 1e-3);
-}
-
 // ---- Streaming (EventSink) ingestion ----------------------------------------
 
-/// Runs one kernel through a streaming gate-sim into `analysis`.
-void run_gatesim_streaming(const std::string& kernel_name, DynamicTimingAnalysis& analysis) {
-    const timing::DesignConfig design;
-    static const auto netlist = timing::SyntheticNetlist::generate({});
-    const timing::DelayCalculator calculator(design);
-    sim::Machine machine;
-    machine.load(assembler::assemble(workloads::find_kernel(kernel_name).source));
-    GateLevelSimulation gatesim(netlist, calculator, analysis);
-    machine.run(&gatesim);
-    // Streaming mode materializes nothing in the observer.
-    EXPECT_EQ(gatesim.event_log().size(), 0u);
-    EXPECT_EQ(gatesim.trace().size(), 0u);
-    EXPECT_TRUE(gatesim.reference_delays().empty());
-    EXPECT_GT(gatesim.cycles_observed(), 0u);
-}
-
-TEST(StreamingAnalyzer, ByteIdenticalTableAndStatsVsMaterialized) {
-    AnalyzerConfig config;
-    config.static_period_ps = timing::DelayCalculator({}).static_period_ps();
-    const auto spec = PipelineSpec::from_netlist(timing::SyntheticNetlist::generate({}));
-
-    // Chain three kernels through ONE streaming analyzer...
-    DynamicTimingAnalysis streaming(spec, config);
-    for (const char* kernel : {"crc32", "fir", "bubblesort"}) {
-        run_gatesim_streaming(kernel, streaming);
-    }
-
-    // ...and compare against a materialized merged-log analysis of the same
-    // concatenated cycle stream.
-    EventLog merged_log;
-    OccupancyTrace merged_trace;
-    std::uint64_t offset = 0;
-    for (const char* kernel : {"crc32", "fir", "bubblesort"}) {
-        const auto artifacts = run_gatesim(kernel);
-        merged_log.append_shifted(artifacts.log, offset);
-        merged_trace.append_shifted(artifacts.trace, offset);
-        offset += artifacts.trace.size();
-    }
-    DynamicTimingAnalysis materialized(spec, config);
-    materialized.analyze(merged_log, merged_trace);
-
-    EXPECT_EQ(streaming.cycles(), materialized.cycles());
-    EXPECT_EQ(streaming.build_delay_table().serialize(),
-              materialized.build_delay_table().serialize());
-    EXPECT_DOUBLE_EQ(streaming.genie_mean_period_ps(), materialized.genie_mean_period_ps());
-    EXPECT_EQ(streaming.limiting_stage_counts(), materialized.limiting_stage_counts());
-    for (OccKey key = 0; key < kKeyCount; ++key) {
-        for (int s = 0; s < sim::kStageCount; ++s) {
-            const auto& a = streaming.stats(key, static_cast<Stage>(s));
-            const auto& b = materialized.stats(key, static_cast<Stage>(s));
-            ASSERT_EQ(a.occurrences, b.occurrences);
-            ASSERT_DOUBLE_EQ(a.max_ps, b.max_ps);
-        }
-    }
-    // Streaming keeps no per-cycle vector; its figure accumulators still
-    // agree with the exact statistics.
-    EXPECT_TRUE(streaming.cycle_stage_delays().empty());
+TEST(StreamingAnalyzer, ChainedProgramsRecoverConcatenatedGroundTruth) {
+    // Three kernels through ONE streaming analyzer: the accumulators must
+    // match the ground truth of the concatenated cycle stream bit for bit,
+    // and the coarse figure views must agree with the exact statistics.
+    DynamicTimingAnalysis streaming(default_spec(), default_config());
+    const GroundTruth truth = run_gatesim({"crc32", "fir", "bubblesort"}, streaming);
+    expect_recovers_ground_truth(streaming, truth);
     const Histogram genie = streaming.genie_histogram(40);
     EXPECT_EQ(genie.total(), streaming.cycles());
     EXPECT_NEAR(genie.stats().mean(), streaming.genie_mean_period_ps(), 1e-9);
-}
-
-TEST(StreamingAnalyzer, RejectsMixingModes) {
-    AnalyzerConfig config;
-    config.static_period_ps = timing::DelayCalculator({}).static_period_ps();
-    const auto spec = PipelineSpec::from_netlist(timing::SyntheticNetlist::generate({}));
-    const auto artifacts = run_gatesim("fibcall");
-
-    DynamicTimingAnalysis streamed(spec, config);
-    run_gatesim_streaming("fibcall", streamed);
-    EXPECT_THROW(streamed.analyze(artifacts.log, artifacts.trace), Error);
-
-    DynamicTimingAnalysis analyzed(spec, config);
-    analyzed.analyze(artifacts.log, artifacts.trace);
-    TraceEntry entry;
-    EXPECT_THROW(analyzed.consume_cycle(entry, {}), Error);
 }
 
 // ---- Batched characterization engine ----------------------------------------
@@ -426,17 +386,6 @@ void run_batched(const std::vector<const char*>& kernels, DynamicTimingAnalysis&
     EXPECT_EQ(engine.cycles_observed(), analysis.cycles());
 }
 
-void expect_identical_histograms(const Histogram& a, const Histogram& b) {
-    ASSERT_EQ(a.bins(), b.bins());
-    ASSERT_DOUBLE_EQ(a.lo(), b.lo());
-    ASSERT_DOUBLE_EQ(a.hi(), b.hi());
-    for (int bin = 0; bin < a.bins(); ++bin) ASSERT_EQ(a.count(bin), b.count(bin)) << bin;
-    ASSERT_EQ(a.total(), b.total());
-    ASSERT_DOUBLE_EQ(a.stats().mean(), b.stats().mean());
-    ASSERT_DOUBLE_EQ(a.stats().min(), b.stats().min());
-    ASSERT_DOUBLE_EQ(a.stats().max(), b.stats().max());
-}
-
 TEST(BatchedCharacterization, ByteIdenticalAcrossWorkersAndBatchBoundaries) {
     AnalyzerConfig config;
     config.static_period_ps = timing::DelayCalculator({}).static_period_ps();
@@ -445,7 +394,7 @@ TEST(BatchedCharacterization, ByteIdenticalAcrossWorkersAndBatchBoundaries) {
 
     // Serial streaming reference: the per-cycle EventSink path.
     DynamicTimingAnalysis streaming(spec, config);
-    for (const char* kernel : kernels) run_gatesim_streaming(kernel, streaming);
+    run_gatesim(kernels, streaming);
     const std::string reference_table = streaming.build_delay_table().serialize();
 
     // Worker counts around the shard edges (1 = inline serial kernel, 8 >
@@ -508,13 +457,10 @@ TEST(BatchedCharacterization, RejectsUseAfterFinish) {
 }
 
 TEST(Analyzer, SampleCapBoundsHistogramMemory) {
-    const auto artifacts = run_gatesim("crc32");
-    AnalyzerConfig config;
-    config.static_period_ps = artifacts.static_period_ps;
+    AnalyzerConfig config = default_config();
     config.sample_cap = 16;
-    DynamicTimingAnalysis analysis(PipelineSpec::from_netlist(timing::SyntheticNetlist::generate({})),
-                                   config);
-    analysis.analyze(artifacts.log, artifacts.trace);
+    DynamicTimingAnalysis analysis(default_spec(), config);
+    run_gatesim({"crc32"}, analysis);
     // Stats see every occurrence; the raw-sample histogram is truncated to
     // the cap (bubble slots occur in thousands of cycles).
     EXPECT_GT(analysis.stats(kKeyBubble, Stage::kEx).occurrences, 16u);
@@ -522,12 +468,8 @@ TEST(Analyzer, SampleCapBoundsHistogramMemory) {
 }
 
 TEST(Analyzer, StageHistogramsMatchPerCycleData) {
-    const auto artifacts = run_gatesim("bsearch");
-    AnalyzerConfig config;
-    config.static_period_ps = artifacts.static_period_ps;
-    DynamicTimingAnalysis analysis(PipelineSpec::from_netlist(timing::SyntheticNetlist::generate({})),
-                                   config);
-    analysis.analyze(artifacts.log, artifacts.trace);
+    DynamicTimingAnalysis analysis(default_spec(), default_config());
+    run_gatesim({"bsearch"}, analysis);
     for (int s = 0; s < sim::kStageCount; ++s) {
         const auto stage = static_cast<Stage>(s);
         const Histogram h = analysis.stage_histogram(stage);
@@ -542,12 +484,8 @@ TEST(Analyzer, StageHistogramsMatchPerCycleData) {
 }
 
 TEST(Analyzer, MulHistogramShowsExSpread) {
-    const auto artifacts = run_gatesim("fir");  // multiplier heavy
-    AnalyzerConfig config;
-    config.static_period_ps = artifacts.static_period_ps;
-    DynamicTimingAnalysis analysis(PipelineSpec::from_netlist(timing::SyntheticNetlist::generate({})),
-                                   config);
-    analysis.analyze(artifacts.log, artifacts.trace);
+    DynamicTimingAnalysis analysis(default_spec(), default_config());
+    run_gatesim({"fir"}, analysis);  // multiplier heavy
     const auto mul_key = static_cast<OccKey>(isa::Opcode::kMul);
     const auto& ex_stats = analysis.stats(mul_key, Stage::kEx);
     ASSERT_GT(ex_stats.occurrences, 100u);

@@ -10,12 +10,13 @@ Compares a freshly measured artifact against the committed one and fails
 - Absolute throughput figures (replay_lut_cycles_per_s, the batched
   characterization series) and cross-code-path ratios (the voltage-axis
   amortization) only mean something on comparable hosts. Host
-  comparability is judged by the materialized characterization mode — the
-  legacy reference path no PR optimizes, so its throughput is a pure
-  host-speed proxy. When the fresh host's calibration figure deviates from
-  the committed one by more than --calibration-band, the absolute checks
-  are skipped (reported, not enforced) instead of producing false alarms
-  on slower/faster CI runners.
+  comparability is judged by the artifact's fixed-work calibration loop
+  (host.calibration_mops: xorshift64 steps per microsecond, best of 7
+  repeats), which runs no focs code, so no change to the program can move
+  it. When the fresh host's calibration figure deviates from the committed
+  one by more than --calibration-band, the absolute checks are skipped
+  (reported, not enforced) instead of producing false alarms on
+  slower/faster CI runners.
 
 Usage:
   check_bench_regression.py --committed BENCH_sim_throughput.json \
@@ -58,7 +59,7 @@ ABSOLUTE_FIGURES = [
     "characterization_axis.fused_replay_speedup",
 ]
 
-CALIBRATION_FIGURE = "characterization.materialized_cycles_per_s"
+CALIBRATION_FIGURE = "host.calibration_mops"
 
 # Absolute floors on the *fresh* artifact alone (no committed comparison):
 # host-independent invariants of the code itself. The dormant

@@ -4,11 +4,14 @@
 //   focs asm <file.s|kernel:NAME>               assemble, print listing + symbols
 //   focs run <file.s|kernel:NAME> [--trace N]   run on the cycle-accurate core
 //   focs characterize [-o lut.txt] [--conventional] [--voltage V] [--jobs N]
-//                     [--batch N] [--streaming|--materialized]
+//                     [--batch N] [--streaming]
 //                     [--metrics] [--trace-out trace.json]
 //                                               build the delay LUT (paper Fig. 2)
 //                                               batched engine by default; --jobs
-//                                               adds endpoint-kernel workers
+//                                               adds endpoint-kernel workers,
+//                                               --streaming runs the per-cycle
+//                                               reference; any other argument
+//                                               is a usage error
 //   focs evaluate <file.s|kernel:NAME> [--lut lut.txt] [--policy P] [--taps N]
 //                                               delay-annotated run; P in
 //                                               static|two-class|ex-only|lut|
@@ -96,7 +99,7 @@ using namespace focs;
                  "  asm <file.s|kernel:NAME>\n"
                  "  run <file.s|kernel:NAME> [--trace N]\n"
                  "  characterize [-o lut.txt] [--conventional] [--voltage V] [--jobs N]\n"
-                 "               [--batch N] [--streaming|--materialized]\n"
+                 "               [--batch N] [--streaming] [--metrics] [--trace-out trace.json]\n"
                  "  evaluate <file.s|kernel:NAME> [--lut lut.txt] [--policy P] [--taps N]\n"
                  "  suite [--lut lut.txt] [--policy P] [--jobs N] [--replay|--live]\n"
                  "        [--metrics] [--trace-out trace.json] [--no-simd]\n"
@@ -322,6 +325,17 @@ int cmd_run(const std::vector<std::string>& args) {
 }
 
 int cmd_characterize(const std::vector<std::string>& args) {
+    // Every argument must be a known flag (plus its value): a mistyped or
+    // retired flag is a usage error, never a silent default run.
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string& arg = args[i];
+        if (arg == "-o" || arg == "--voltage" || arg == "--jobs" || arg == "--batch" ||
+            arg == "--trace-out") {
+            if (++i == args.size()) throw Error("characterize: " + arg + " needs a value");
+        } else if (arg != "--conventional" && arg != "--streaming" && arg != "--metrics") {
+            throw Error("characterize: unrecognized argument '" + arg + "'");
+        }
+    }
     obs_enable(args);
     timing::DesignConfig design;
     if (flag_present(args, "--conventional")) {
@@ -330,9 +344,9 @@ int cmd_characterize(const std::vector<std::string>& args) {
     if (const auto v = flag_value(args, "--voltage")) design.voltage_v = std::stod(*v);
 
     // Batched engine by default; --jobs N adds intra-flow endpoint-kernel
-    // workers, --batch sizes the ring slots, --streaming/--materialized
-    // select the per-cycle reference paths. Every combination produces a
-    // byte-identical LUT.
+    // workers, --batch sizes the ring slots, --streaming selects the
+    // per-cycle reference path. Every combination produces a byte-identical
+    // LUT.
     core::CharacterizationOptions options;
     options.threads = std::max(1, parse_jobs(args));
     if (options.threads > 256) {
@@ -346,18 +360,13 @@ int cmd_characterize(const std::vector<std::string>& args) {
         options.batch_cycles = static_cast<int>(*cycles);
     }
     if (flag_present(args, "--streaming")) options.mode = core::CharacterizationMode::kStreaming;
-    if (flag_present(args, "--materialized")) {
-        options.mode = core::CharacterizationMode::kMaterialized;
-    }
 
     const core::CharacterizationFlow flow(design);
     const auto result =
         flow.run(workloads::assemble_programs(workloads::characterization_suite()), options);
     std::printf("characterized %llu cycles at %.2f V (%s%s)\n",
                 static_cast<unsigned long long>(result.cycles), design.voltage_v,
-                options.mode == core::CharacterizationMode::kBatched        ? "batched"
-                : options.mode == core::CharacterizationMode::kStreaming    ? "streaming"
-                                                                            : "materialized",
+                options.mode == core::CharacterizationMode::kBatched ? "batched" : "streaming",
                 options.mode == core::CharacterizationMode::kBatched && options.threads > 1
                     ? (", " + std::to_string(options.threads) + " threads").c_str()
                     : "");
