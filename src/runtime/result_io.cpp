@@ -139,55 +139,29 @@ SweepResult from_json(const std::string& text) {
     const Value document = json::parse(text);
     const Object& root = document.object();
     const std::string& schema = field(root, "schema").string();
-    // v5: pre-characterization-collapse documents without the
-    // nominal_passes / scaled_views counters; v4: pre-fault-tolerance
-    // documents without cell statuses; v3: pre-observability documents
-    // without the metrics block and per-cell timing; v2: pre-unit-delays
-    // documents without the voltage-axis counters; v1: pre-replay documents
-    // without the spec stamp. All still readable.
-    check(schema == "focs-sweep-v6" || schema == "focs-sweep-v5" || schema == "focs-sweep-v4" ||
-              schema == "focs-sweep-v3" || schema == "focs-sweep-v2" || schema == "focs-sweep-v1",
-          "unknown sweep result schema '" + schema + "'");
+    // Only the current schema: no older document is stored anywhere, so
+    // there is nothing to migrate. Optional fields below are the ones v6
+    // itself omits (the run-dependent header and per-cell timing of a
+    // canonical document, the failure fields of an all-ok one).
+    check(schema == "focs-sweep-v6", "unknown sweep result schema '" + schema + "'");
 
     SweepResult result;
-    if (const auto it = root.find("spec"); it != root.end()) {
-        result.spec_text = it->second.string();
-    }
-    if (const auto it = root.find("spec_hash"); it != root.end()) {
-        result.spec_hash = it->second.string();
-    }
-    if (const auto it = root.find("jobs"); it != root.end()) {
-        result.jobs = static_cast<int>(it->second.number());
-    }
-    if (const auto it = root.find("mode"); it != root.end()) {
-        result.mode = it->second.string();
-    }
-    if (const auto it = root.find("wall_ms"); it != root.end()) {
-        result.wall_ms = it->second.number();
-    }
-    if (const auto it = root.find("characterizations"); it != root.end()) {
-        result.characterizations = as_u64(it->second);
-    }
-    if (const auto it = root.find("nominal_passes"); it != root.end()) {
-        result.nominal_passes = as_u64(it->second);
-    }
-    if (const auto it = root.find("scaled_views"); it != root.end()) {
-        result.scaled_views = as_u64(it->second);
-    }
-    if (const auto it = root.find("cache_hits"); it != root.end()) {
-        result.cache_hits = as_u64(it->second);
-    }
-    if (const auto it = root.find("guest_simulations"); it != root.end()) {
-        result.guest_simulations = as_u64(it->second);
-    }
-    if (const auto it = root.find("unit_delay_passes"); it != root.end()) {
-        result.unit_delay_passes = as_u64(it->second);
-    }
-    if (const auto it = root.find("unit_delay_reuses"); it != root.end()) {
-        result.unit_delay_reuses = as_u64(it->second);
-    }
-    if (const auto it = root.find("metrics"); it != root.end()) {
-        const Object& m = it->second.object();
+    result.spec_text = field(root, "spec").string();
+    result.spec_hash = field(root, "spec_hash").string();
+    // The run-dependent header is all or nothing: to_json writes every
+    // field of it, or none (canonical documents).
+    if (root.find("jobs") != root.end()) {
+        result.jobs = static_cast<int>(field(root, "jobs").number());
+        result.mode = field(root, "mode").string();
+        result.wall_ms = field(root, "wall_ms").number();
+        result.characterizations = as_u64(field(root, "characterizations"));
+        result.nominal_passes = as_u64(field(root, "nominal_passes"));
+        result.scaled_views = as_u64(field(root, "scaled_views"));
+        result.cache_hits = as_u64(field(root, "cache_hits"));
+        result.guest_simulations = as_u64(field(root, "guest_simulations"));
+        result.unit_delay_passes = as_u64(field(root, "unit_delay_passes"));
+        result.unit_delay_reuses = as_u64(field(root, "unit_delay_reuses"));
+        const Object& m = field(root, "metrics").object();
         const Object& cache = field(m, "cache").object();
         result.metrics.program = parse_class_counters(field(cache, "program"));
         result.metrics.delay_table = parse_class_counters(field(cache, "delay_table"));
@@ -246,8 +220,8 @@ SweepResult from_json(const std::string& text) {
         result.cells.push_back(std::move(cell));
     }
     // Per-status counts: trust the header when stamped (partial-result
-    // documents), otherwise derive from the cells so all-ok v6 documents
-    // and every pre-v6 vintage report cells_ok == cells.size().
+    // documents), otherwise derive from the cells so all-ok documents
+    // report cells_ok == cells.size().
     if (const auto it = root.find("cells_ok"); it != root.end()) {
         result.cells_ok = as_u64(it->second);
         if (const auto failed = root.find("cells_failed"); failed != root.end()) {

@@ -39,13 +39,10 @@ std::string json_string(const std::string& value);
 /// per-cell timing); switch it off to obtain the canonical document.
 std::string to_json(const SweepResult& result, bool include_timing = true);
 
-/// Parses a document produced by to_json (v6, the pre-characterization-
-/// collapse v5, the pre-fault-tolerance v4, the pre-observability v3, the
-/// pre-unit-delays v2, or the pre-replay v1
-/// without the spec stamp). Throws focs::Error on malformed input. Header
-/// fields absent from the document are left zero/empty; per-status cell
-/// counts are derived from the cells when the header lacks them, so
-/// documents of every vintage report cells_ok consistently.
+/// Parses a focs-sweep-v6 document produced by to_json. Throws focs::Error
+/// on malformed input or any other schema. Run-dependent fields absent from
+/// a canonical document are left zero/empty; per-status cell counts are
+/// derived from the cells when the header lacks them (all-ok documents).
 SweepResult from_json(const std::string& text);
 
 }  // namespace focs::runtime

@@ -151,7 +151,7 @@ struct SweepRunOptions {
     const CancellationToken* cancel = nullptr;
 };
 
-/// Run-dependent observability block stamped into the focs-sweep-v5 timing
+/// Run-dependent observability block stamped into the focs-sweep-v6 timing
 /// header: per-artifact-class cache outcomes (deltas of the cache's
 /// embedded registry over this sweep) and the per-cell wall-time
 /// distribution. Misses are deterministic (exactly-once builds); the

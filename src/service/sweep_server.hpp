@@ -6,7 +6,7 @@
 // zero characterizations and zero guest simulations (asserted in CI via the
 // response's own metrics block). The protocol is the minimal HTTP subset in
 // service/http.hpp: POST /sweep with a sweep-spec body returns the standard
-// focs-sweep-v5 result JSON with one extra top-level field, "partial"
+// focs-sweep-v6 result JSON with one extra top-level field, "partial"
 // (true when any cell failed or was cancelled), plus GET /healthz and
 // GET /metricsz for probes.
 //
@@ -178,7 +178,7 @@ private:
     } ids_;
 };
 
-/// The focs-sweep-v5 result JSON with the service's "partial" field
+/// The focs-sweep-v6 result JSON with the service's "partial" field
 /// injected as the first key (from_json ignores unknown keys, so the body
 /// round-trips through the standard parser).
 std::string sweep_response_body(const runtime::SweepResult& result, bool include_timing);

@@ -562,18 +562,13 @@ TEST(ResultIo, JsonRoundTripIsLossless) {
     EXPECT_EQ(to_json(parsed), json);
 }
 
-TEST(ResultIo, ParsesOlderSchemaDocuments) {
-    // Artifacts produced by older builds must still load, with the absent
-    // fields left zero: v3 lacks the metrics block and per-cell timing, v2
-    // additionally lacks the voltage-axis counters.
-    const SweepEngine engine(1);
+TEST(ResultIo, RejectsOlderSchemaDocuments) {
+    // Only focs-sweep-v6 is read. A v5 document (the v6 emission renamed,
+    // minus the characterization-collapse counters) is an error, not a
+    // silently zero-filled result.
     SweepSpec spec = small_spec();
     spec.kernels = {"crc32"};
-    const SweepResult result = engine.run(spec);
-
-    // Reconstruct a v5 document from the v6 emission: rename the schema
-    // string and drop the characterization-collapse counters.
-    std::string v5 = to_json(result);
+    std::string v5 = to_json(SweepEngine(1).run(spec));
     const auto v6_at = v5.find("focs-sweep-v6");
     ASSERT_NE(v6_at, std::string::npos);
     v5.replace(v6_at, 13, "focs-sweep-v5");
@@ -582,83 +577,14 @@ TEST(ResultIo, ParsesOlderSchemaDocuments) {
     const auto views_end = v5.find('\n', v5.find("\"scaled_views\""));
     ASSERT_NE(views_end, std::string::npos);
     v5.erase(nominal_at, views_end + 1 - nominal_at);
-    const SweepResult parsed_v5 = from_json(v5);
-    EXPECT_EQ(parsed_v5.nominal_passes, 0u);
-    EXPECT_EQ(parsed_v5.scaled_views, 0u);
-    EXPECT_EQ(parsed_v5.characterizations, result.characterizations);
-
-    // A v4 document on top: an all-ok sweep's wire format is identical,
-    // only the schema string changed — so the rename alone produces a
-    // faithful v4 artifact.
-    std::string v4 = v5;
-    const auto v5_at = v4.find("focs-sweep-v5");
-    ASSERT_NE(v5_at, std::string::npos);
-    v4.replace(v5_at, 13, "focs-sweep-v4");
-    const SweepResult parsed_v4 = from_json(v4);
-    EXPECT_EQ(parsed_v4.unit_delay_passes, result.unit_delay_passes);
-    // The per-status counts are derived from the cells when the header
-    // (of any pre-v5 vintage) lacks them.
-    EXPECT_EQ(parsed_v4.cells_ok, result.cells.size());
-    EXPECT_EQ(parsed_v4.cells_failed, 0u);
-
-    // Then a v3 document on top: rename the schema, drop the metrics block
-    // and the per-cell timing fields.
-    std::string v3 = v4;
-    const auto schema_at = v3.find("focs-sweep-v4");
-    ASSERT_NE(schema_at, std::string::npos);
-    v3.replace(schema_at, 13, "focs-sweep-v3");
-    const auto metrics_at = v3.find("  \"metrics\": ");
-    ASSERT_NE(metrics_at, std::string::npos);
-    const auto metrics_end = v3.find("  \"mean_eff_freq_mhz\"", metrics_at);
-    ASSERT_NE(metrics_end, std::string::npos);
-    v3.erase(metrics_at, metrics_end - metrics_at);
-    for (std::size_t at = v3.find(", \"wall_ms\""); at != std::string::npos;
-         at = v3.find(", \"wall_ms\"")) {
-        const auto guest_at = v3.find(", \"guest\"", at);
-        ASSERT_NE(guest_at, std::string::npos);
-        v3.erase(at, guest_at - at);
-    }
-
-    const SweepResult parsed_v3 = from_json(v3);
-    EXPECT_EQ(parsed_v3.metrics.trace.miss, 0u);
-    EXPECT_EQ(parsed_v3.metrics.cell_wall_ms_p95, 0.0);
-    EXPECT_EQ(parsed_v3.cells[0].wall_ms, 0.0);
-    EXPECT_EQ(parsed_v3.unit_delay_passes, result.unit_delay_passes);
-    EXPECT_EQ(parsed_v3.spec_hash, result.spec_hash);
-
-    // And a v2 document on top: no unit-delay counters either.
-    std::string v2 = v3;
-    v2.replace(v2.find("focs-sweep-v3"), 13, "focs-sweep-v2");
-    const auto passes_at = v2.find("  \"unit_delay_passes\"");
-    ASSERT_NE(passes_at, std::string::npos);
-    const auto reuses_end = v2.find('\n', v2.find("\"unit_delay_reuses\""));
-    v2.erase(passes_at, reuses_end + 1 - passes_at);
-
-    const SweepResult parsed = from_json(v2);
-    EXPECT_EQ(parsed.unit_delay_passes, 0u);
-    EXPECT_EQ(parsed.unit_delay_reuses, 0u);
-    EXPECT_EQ(parsed.spec_hash, result.spec_hash);
-    ASSERT_EQ(parsed.cells.size(), result.cells.size());
-    EXPECT_EQ(parsed.cells[0].result.total_time_ps, result.cells[0].result.total_time_ps);
-
-    // v1 on top of that: pre-replay, no spec stamp.
-    std::string v1 = v2;
-    v1.replace(v1.find("focs-sweep-v2"), 13, "focs-sweep-v1");
-    const auto spec_at = v1.find("  \"spec\"");
-    ASSERT_NE(spec_at, std::string::npos);
-    const auto spec_end = v1.find('\n', v1.find("\"spec_hash\""));
-    v1.erase(spec_at, spec_end + 1 - spec_at);
-    const SweepResult parsed_v1 = from_json(v1);
-    EXPECT_TRUE(parsed_v1.spec_hash.empty());
-    ASSERT_EQ(parsed_v1.cells.size(), result.cells.size());
-    EXPECT_EQ(parsed_v1.cells[0].result.cycles, result.cells[0].result.cycles);
+    EXPECT_THROW(from_json(v5), Error);
 }
 
 TEST(ResultIo, RejectsMalformedDocuments) {
     EXPECT_THROW(from_json(""), Error);
     EXPECT_THROW(from_json("{"), Error);
     EXPECT_THROW(from_json("{\"schema\": \"bogus\"}"), Error);
-    EXPECT_THROW(from_json("{\"schema\": \"focs-sweep-v1\"}"), Error);  // missing fields
+    EXPECT_THROW(from_json("{\"schema\": \"focs-sweep-v6\"}"), Error);  // missing fields
     EXPECT_THROW(from_json("{\"schema\": \"\\uZZZZ\"}"), Error);        // non-hex \u escape
     EXPECT_THROW(from_json("{\"schema\": \"\\u20ac\"}"), Error);  // beyond control range
 }
