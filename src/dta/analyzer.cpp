@@ -141,17 +141,41 @@ Histogram DynamicTimingAnalysis::key_stage_histogram(OccKey key, Stage stage, in
     return h;
 }
 
+CharacterizationStats DynamicTimingAnalysis::characterization_stats() const {
+    CharacterizationStats out;
+    out.static_period_ps = config_.static_period_ps;
+    for (std::size_t key = 0; key < key_stats_.size(); ++key) {
+        for (std::size_t s = 0; s < key_stats_[key].size(); ++s) {
+            out.occurrences[key][s] = key_stats_[key][s].occurrences;
+            out.max_ps[key][s] = key_stats_[key][s].max_ps;
+        }
+    }
+    return out;
+}
+
 DelayTable DynamicTimingAnalysis::build_delay_table() const {
-    // The table keeps the raw observed maximum and the guard band separate
-    // (set_characterized applies min(raw + guard, static)), so a nominal
-    // table can be retargeted to any operating point as an exact scaled()
-    // view instead of re-characterizing per voltage.
-    DelayTable table(config_.static_period_ps, config_.lut_guard_ps);
+    return dta::build_delay_table(characterization_stats(), config_.lut_guard_ps,
+                                  config_.min_occurrences);
+}
+
+DelayTable build_delay_table(const CharacterizationStats& stats, double lut_guard_ps,
+                             int min_occurrences, double scale) {
+    check(scale > 0, "scale factor must be positive");
+    // The table keeps the raw maximum and the guard band separate
+    // (set_characterized applies min(raw + guard, static)), so the scaled
+    // raw part is re-guarded and clamped against the scaled static period —
+    // the expression a characterization at the target operating point
+    // computes.
+    DelayTable table(stats.static_period_ps * scale, lut_guard_ps);
     for (OccKey key = 0; key < kKeyCount; ++key) {
         for (int s = 0; s < sim::kStageCount; ++s) {
-            const auto& ks = key_stats_[static_cast<std::size_t>(key)][static_cast<std::size_t>(s)];
-            if (ks.occurrences < static_cast<std::uint64_t>(config_.min_occurrences)) continue;
-            table.set_characterized(key, static_cast<Stage>(s), ks.max_ps);
+            const auto k = static_cast<std::size_t>(key);
+            const auto st = static_cast<std::size_t>(s);
+            // A pair never observed has no maximum to guard, whatever the
+            // floor (a floor of 0 behaves as 1).
+            const std::uint64_t seen = stats.occurrences[k][st];
+            if (seen == 0 || seen < static_cast<std::uint64_t>(min_occurrences)) continue;
+            table.set_characterized(key, static_cast<Stage>(s), stats.max_ps[k][st] * scale);
         }
     }
     return table;

@@ -66,6 +66,32 @@ struct KeyStageStats {
     RunningStats stats;
 };
 
+/// The part of a characterization every delay LUT is built from: the
+/// static period plus, per (key, stage), the occurrence count and the raw
+/// observed maximum. It does not depend on the guard band or the
+/// occurrence floor, so one characterization serves every LUT design
+/// point (see build_delay_table below).
+struct CharacterizationStats {
+    double static_period_ps = 0;
+    std::array<std::array<std::uint64_t, sim::kStageCount>, kKeyCount> occurrences{};
+    std::array<std::array<double, sim::kStageCount>, kKeyCount> max_ps{};
+
+    /// Resident size for cache byte budgeting (fixed-shape value type).
+    std::uint64_t estimated_bytes() const { return sizeof *this; }
+};
+
+/// Builds the delay LUT of one design point from characterization
+/// statistics: every entry seen at least `min_occurrences` times (and at
+/// least once) gets
+/// min(fl(raw * scale) + guard, fl(static * scale)); the others fall back
+/// to the scaled static period. `scale` retargets the statistics to
+/// another operating point (the cell library's delay-scale ratio), which
+/// is bit-identical to characterizing there (see DelayTable::scaled for
+/// the rounding argument); at scale 1.0 it is the plain characterization
+/// LUT, since fl(x * 1.0) == x.
+DelayTable build_delay_table(const CharacterizationStats& stats, double lut_guard_ps,
+                             int min_occurrences, double scale = 1.0);
+
 class DynamicTimingAnalysis final : public EventSink {
 public:
     DynamicTimingAnalysis(PipelineSpec spec, AnalyzerConfig config);
@@ -104,8 +130,11 @@ public:
     /// Delay histogram of one (instruction, stage) pair (Fig. 7 uses l.mul).
     Histogram key_stage_histogram(OccKey key, sim::Stage stage, int bins = 40) const;
 
-    /// Builds the delay LUT: observed max + guard for sufficiently
-    /// characterized entries, static fallback otherwise.
+    /// Occurrence counts and raw maxima of every (key, stage) pair.
+    CharacterizationStats characterization_stats() const;
+
+    /// Builds the delay LUT of this analysis' own guard band and occurrence
+    /// floor: build_delay_table(characterization_stats(), ...) at scale 1.
     DelayTable build_delay_table() const;
 
 private:

@@ -36,8 +36,8 @@ std::uint64_t estimated_bytes_of(const sim::PipelineTrace& trace) {
 std::uint64_t estimated_bytes_of(const std::shared_ptr<const timing::UnitTraceDelays>& unit) {
     return unit == nullptr ? 0 : unit->estimated_bytes();
 }
-std::uint64_t estimated_bytes_of(const std::shared_ptr<const dta::DelayTable>& table) {
-    return table == nullptr ? 0 : table->estimated_bytes();
+std::uint64_t estimated_bytes_of(const std::shared_ptr<const dta::CharacterizationStats>& stats) {
+    return stats == nullptr ? 0 : stats->estimated_bytes();
 }
 
 }  // namespace
@@ -180,11 +180,11 @@ void ArtifactCache::evict_over_budget_locked() {
         switch (victim.artifact_class) {
             case ArtifactClass::kProgram: evict(programs_, victim); break;
             case ArtifactClass::kDelayTable:
-                // Per-voltage tables and the shared nominal entry live in
+                // Derived tables and the shared nominal statistics live in
                 // separate maps under the same class; the key prefix tells
                 // them apart.
                 if (starts_with(victim.key, "nominal/")) {
-                    evict(nominal_tables_, victim);
+                    evict(nominal_stats_, victim);
                 } else {
                     evict(tables_, victim);
                 }
@@ -223,23 +223,22 @@ std::uint64_t ArtifactCache::lru_evictions() const {
 
 std::string ArtifactCache::design_key(const timing::DesignConfig& design,
                                       const dta::AnalyzerConfig& analyzer_config) {
+    // %.17g round-trips every double, so two operating points that differ
+    // in any bit never share a table.
     char buf[160];
-    std::snprintf(buf, sizeof buf, "v%d:%.6f:%llu:g%.6f:m%d",
+    std::snprintf(buf, sizeof buf, "v%d:%.17g:%llu:g%.17g:m%d",
                   static_cast<int>(design.variant), design.voltage_v,
                   static_cast<unsigned long long>(design.seed), analyzer_config.lut_guard_ps,
                   analyzer_config.min_occurrences);
     return buf;
 }
 
-std::string ArtifactCache::nominal_key(const timing::DesignConfig& design,
-                                       const dta::AnalyzerConfig& analyzer_config) {
-    // Voltage-free: one nominal characterization serves the whole voltage
-    // axis of a (variant, seed, analyzer config) combination.
-    char buf[160];
-    std::snprintf(buf, sizeof buf, "nominal/v%d:%llu:g%.6f:m%d",
-                  static_cast<int>(design.variant),
-                  static_cast<unsigned long long>(design.seed), analyzer_config.lut_guard_ps,
-                  analyzer_config.min_occurrences);
+std::string ArtifactCache::nominal_key(const timing::DesignConfig& design) {
+    // Free of the voltage, the guard band and the occurrence floor: one
+    // nominal characterization serves every table of a (variant, seed).
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "nominal/v%d:%llu", static_cast<int>(design.variant),
+                  static_cast<unsigned long long>(design.seed));
     return buf;
 }
 
@@ -326,7 +325,7 @@ std::shared_future<dta::DelayTable> ArtifactCache::delay_table(
         ArtifactClass::kDelayTable, key, tables_, promise,
         [&]() -> dta::DelayTable {
             if (reference) {
-                // Per-voltage reference characterization: the byte-identity
+                // Per-design-point reference characterization: the byte-identity
                 // escape hatch (and the explicit-static-period path).
                 // Dependency fetched inside the build so a retry after a
                 // failed suite assembly re-elects that builder too.
@@ -339,16 +338,18 @@ std::shared_future<dta::DelayTable> ArtifactCache::delay_table(
                 metrics_.add(reference_passes_id_);
                 return table;
             }
-            // Derived view: scale the shared nominal table by the cell
-            // library's delay ratio. delay_scale(kNominalVoltageV) == 1.0
-            // exactly, so the ratio is delay_scale(target) itself and the
-            // view is bit-identical to a reference characterization at the
-            // target voltage (DelayTable::scaled).
-            const auto nominal =
-                nominal_delay_table(design, analyzer_config, flow_threads, cancel);
+            // Derived view: build this design point's guard band and
+            // occurrence floor over the shared nominal statistics, scaled
+            // by the cell library's delay ratio. delay_scale(kNominalVoltageV)
+            // == 1.0 exactly, so the ratio is delay_scale(target) itself and
+            // the table is bit-identical to a reference characterization of
+            // the same design point (dta::build_delay_table).
+            const auto nominal = nominal_stats(design, flow_threads, cancel);
             const double factor =
                 timing::CellLibrary::fdsoi28().delay_scale(design.voltage_v);
-            dta::DelayTable table = nominal.get()->scaled(factor);
+            dta::DelayTable table =
+                dta::build_delay_table(*nominal.get(), analyzer_config.lut_guard_ps,
+                                       analyzer_config.min_occurrences, factor);
             metrics_.add(scaled_views_id_);
             return table;
         },
@@ -357,20 +358,21 @@ std::shared_future<dta::DelayTable> ArtifactCache::delay_table(
     return future;
 }
 
-std::shared_future<std::shared_ptr<const dta::DelayTable>> ArtifactCache::nominal_delay_table(
-    const timing::DesignConfig& design, const dta::AnalyzerConfig& analyzer_config,
-    int flow_threads, const CancellationToken* cancel) {
-    const std::string key = nominal_key(design, analyzer_config);
-    std::promise<std::shared_ptr<const dta::DelayTable>> promise;
-    std::shared_future<std::shared_ptr<const dta::DelayTable>> future =
+std::shared_future<std::shared_ptr<const dta::CharacterizationStats>>
+ArtifactCache::nominal_stats(const timing::DesignConfig& design, int flow_threads,
+                             const CancellationToken* cancel) {
+    const std::string key = nominal_key(design);
+    std::promise<std::shared_ptr<const dta::CharacterizationStats>> promise;
+    std::shared_future<std::shared_ptr<const dta::CharacterizationStats>> future =
         promise.get_future().share();
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (const auto it = nominal_tables_.find(key); it != nominal_tables_.end()) {
+        if (const auto it = nominal_stats_.find(key); it != nominal_stats_.end()) {
             if (it->second.resident) lru_.splice(lru_.end(), lru_, it->second.lru);
             return it->second.future;
         }
-        nominal_tables_.emplace(key, Entry<std::shared_ptr<const dta::DelayTable>>{future});
+        nominal_stats_.emplace(key,
+                               Entry<std::shared_ptr<const dta::CharacterizationStats>>{future});
     }
     // This thread won the nominal build. No in-place retry here: a failure
     // is published to the current waiters and the slot cleared, so the
@@ -385,22 +387,26 @@ std::shared_future<std::shared_ptr<const dta::DelayTable>> ArtifactCache::nomina
         timing::DesignConfig nominal_design = design;
         nominal_design.voltage_v = timing::kNominalVoltageV;
         const auto programs = characterization_programs();
-        const core::CharacterizationFlow flow(nominal_design, analyzer_config);
+        // The guard band and occurrence floor only shape the final table,
+        // so the default analyzer config serves every design point. Only
+        // the statistics are kept: the analysis, with its sample
+        // reservoirs and figure histograms, dies with the flow result.
+        const core::CharacterizationFlow flow(nominal_design);
         core::CharacterizationOptions options;
         options.threads = flow_threads;
         options.cancel = cancel;
-        auto table =
-            std::make_shared<const dta::DelayTable>(flow.run(programs.get(), options).table);
-        const std::uint64_t bytes = estimated_bytes_of(table);
-        promise.set_value(std::move(table));
+        auto stats = std::make_shared<const dta::CharacterizationStats>(
+            flow.run(programs.get(), options).analysis->characterization_stats());
+        const std::uint64_t bytes = estimated_bytes_of(stats);
+        promise.set_value(std::move(stats));
         metrics_.add(nominal_passes_id_);
-        make_resident(ArtifactClass::kDelayTable, key, nominal_tables_, bytes);
+        make_resident(ArtifactClass::kDelayTable, key, nominal_stats_, bytes);
     } catch (...) {
         promise.set_exception(std::current_exception());
         std::lock_guard<std::mutex> lock(mutex_);
-        if (const auto it = nominal_tables_.find(key);
-            it != nominal_tables_.end() && !it->second.resident) {
-            nominal_tables_.erase(it);
+        if (const auto it = nominal_stats_.find(key);
+            it != nominal_stats_.end() && !it->second.resident) {
+            nominal_stats_.erase(it);
         }
     }
     metrics_.observe(ids(ArtifactClass::kDelayTable).build_ms, ms_since(start));

@@ -14,19 +14,21 @@
 // artifacts are immutable after construction, so sharing references across
 // worker threads is safe.
 //
-// Delay tables are factorized along the voltage axis the same way the unit
-// trace delays are: the expensive gate-level characterization flow runs
-// exactly once per voltage-free nominal key (variant, seed, analyzer
-// config) at the cell library's nominal operating point (0.70 V, where
-// delay_scale == 1.0 exactly), and every per-voltage table is derived from
-// that shared nominal entry as a DelayTable::scaled view — bit-identical to
-// a reference characterization at the target voltage (see
+// Delay tables are factorized along three design axes: voltage, guard band
+// and occurrence floor. The expensive gate-level characterization flow runs
+// exactly once per nominal key (variant, seed) at the cell library's
+// nominal operating point (0.70 V, where delay_scale == 1.0 exactly), and
+// keeps only its dta::CharacterizationStats: per-(key, stage) occurrence
+// counts and raw maxima. Every per-(voltage, guard, floor) table is derived
+// from that shared nominal entry by dta::build_delay_table — bit-identical
+// to a reference characterization of the same design point (see
 // DelayTable::scaled for the rounding-monotonicity argument). The nominal
-// entry sits behind its own shared_future<shared_ptr<const DelayTable>>
-// with the same exactly-once election, and participates in the byte-budget
-// LRU like any other entry. cache.delay_table.nominal_passes counts nominal
-// flows actually executed and cache.delay_table.scaled_views counts derived
-// per-voltage views; the per-voltage reference flow stays available behind
+// entry sits behind its own
+// shared_future<shared_ptr<const CharacterizationStats>> with the same
+// exactly-once election, and participates in the byte-budget LRU like any
+// other entry. cache.delay_table.nominal_passes counts nominal flows
+// actually executed and cache.delay_table.scaled_views counts derived
+// tables; the per-design-point reference flow stays available behind
 // delay_table(..., reference_characterization=true), counted in
 // cache.delay_table.reference_passes.
 //
@@ -132,18 +134,20 @@ public:
     /// suite). Throws focs::Error through the future on unknown kernels.
     std::shared_future<assembler::Program> program(const std::string& kernel);
 
-    /// Characterization delay table of one operating point. By default the
-    /// table is derived as a DelayTable::scaled view of the shared nominal
-    /// entry (one gate-level characterization per voltage-free nominal key,
-    /// bit-identical to characterizing at the target voltage); pass
-    /// `reference_characterization = true` to force the per-voltage
+    /// Characterization delay table of one design point (operating point,
+    /// guard band, occurrence floor). By default the table is derived from
+    /// the shared nominal statistics of (variant, seed) by
+    /// dta::build_delay_table (one gate-level characterization per nominal
+    /// key, bit-identical to characterizing the design point itself); pass
+    /// `reference_characterization = true` to force the per-design-point
     /// reference flow instead (the byte-identity escape hatch). A table
-    /// pre-seeded via put_delay_table for this operating point always wins
-    /// over both paths. `analyzer_config` participates in the cache key, so
-    /// different guard bands are distinct artifacts; an explicit
+    /// pre-seeded via put_delay_table for this design point always wins
+    /// over both paths. The guard band and occurrence floor of
+    /// `analyzer_config` are part of the table's key, so each design point
+    /// is its own derived table, but not of the nominal key; an explicit
     /// analyzer_config.static_period_ps (> 0) disables the nominal
     /// factorization for that request (the override breaks the pure
-    /// delay-scale relation the view depends on). `flow_threads` sets the
+    /// delay-scale relation the derivation depends on). `flow_threads` sets the
     /// batched characterization engine's intra-flow worker count for a
     /// build triggered by this request (it does not affect the artifact —
     /// every thread count produces the same table — so it is not part of
@@ -182,22 +186,21 @@ public:
         const sim::MachineConfig& machine_config = {});
 
     /// Number of gate-level characterization flows actually executed (not
-    /// pre-seeded, not cache hits, not derived scaled views): nominal
-    /// passes plus reference passes. The determinism test asserts a
-    /// V-voltage sweep pays exactly one (the nominal pass), independent of
-    /// V.
+    /// pre-seeded, not cache hits, not derived tables): nominal passes plus
+    /// reference passes. A sweep of one (variant, seed) pays exactly one
+    /// (the nominal pass), however many voltages, guard bands and
+    /// occurrence floors it spans.
     std::uint64_t characterizations_built() const;
 
-    /// Nominal characterization flows executed (one per distinct
-    /// voltage-free nominal key; the cache.delay_table.nominal_passes
-    /// counter).
+    /// Nominal characterization flows executed (one per distinct nominal
+    /// key (variant, seed); the cache.delay_table.nominal_passes counter).
     std::uint64_t nominal_passes() const;
 
-    /// Per-voltage tables derived from a nominal entry via
-    /// DelayTable::scaled (the cache.delay_table.scaled_views counter).
+    /// Per-(voltage, guard, floor) tables derived from a nominal entry via
+    /// dta::build_delay_table (the cache.delay_table.scaled_views counter).
     std::uint64_t scaled_views() const;
 
-    /// Per-voltage reference characterization flows executed on behalf of
+    /// Per-design-point reference characterization flows executed on behalf of
     /// delay_table(..., reference_characterization=true) requests (the
     /// cache.delay_table.reference_passes counter).
     std::uint64_t reference_passes() const;
@@ -253,10 +256,10 @@ public:
 
     static std::string design_key(const timing::DesignConfig& design,
                                   const dta::AnalyzerConfig& analyzer_config);
-    /// Voltage-free key of the shared nominal delay-table entry ("nominal/"
-    /// prefix + variant, seed, guard band, min occurrences).
-    static std::string nominal_key(const timing::DesignConfig& design,
-                                   const dta::AnalyzerConfig& analyzer_config);
+    /// Key of the shared nominal characterization statistics ("nominal/"
+    /// prefix + variant, seed): free of the voltage, the guard band and the
+    /// occurrence floor, which only shape the derived tables.
+    static std::string nominal_key(const timing::DesignConfig& design);
     static std::string trace_key(const std::string& kernel,
                                  const sim::MachineConfig& machine_config);
 
@@ -285,16 +288,16 @@ private:
     /// characterization run (assembly is voltage-independent).
     std::shared_future<std::vector<assembler::Program>> characterization_programs();
 
-    /// Shared nominal delay-table entry: runs the characterization flow at
-    /// the nominal operating point (delay_scale == 1.0) exactly once per
-    /// nominal_key. Internal lookups on this map are not counted in the
-    /// miss/hit/wait taxonomy (the public per-voltage lookup already was);
-    /// executed flows bump cache.delay_table.nominal_passes. On failure the
-    /// slot is cleared so the per-voltage builder's in-place retry
-    /// re-elects a nominal builder.
-    std::shared_future<std::shared_ptr<const dta::DelayTable>> nominal_delay_table(
-        const timing::DesignConfig& design, const dta::AnalyzerConfig& analyzer_config,
-        int flow_threads, const CancellationToken* cancel);
+    /// Shared nominal characterization statistics: runs the
+    /// characterization flow at the nominal operating point (delay_scale ==
+    /// 1.0) exactly once per nominal_key and keeps only its
+    /// CharacterizationStats. Internal lookups on this map are not counted
+    /// in the miss/hit/wait taxonomy (the public per-design-point lookup
+    /// already was); executed flows bump cache.delay_table.nominal_passes.
+    /// On failure the slot is cleared so the derived table builder's
+    /// in-place retry re-elects a nominal builder.
+    std::shared_future<std::shared_ptr<const dta::CharacterizationStats>> nominal_stats(
+        const timing::DesignConfig& design, int flow_threads, const CancellationToken* cancel);
 
     /// Classifies a found entry as hit (ready) or wait (pending) and bumps
     /// the class counter accordingly.
@@ -339,9 +342,10 @@ private:
     std::map<std::string, std::uint64_t> build_attempts_;
     std::map<std::string, Entry<assembler::Program>> programs_;
     std::map<std::string, Entry<dta::DelayTable>> tables_;
-    /// Shared voltage-free nominal entries (keys carry the "nominal/"
-    /// prefix; LRU nodes dispatch on it within ArtifactClass::kDelayTable).
-    std::map<std::string, Entry<std::shared_ptr<const dta::DelayTable>>> nominal_tables_;
+    /// Shared nominal statistics (keys carry the "nominal/" prefix; LRU
+    /// nodes dispatch on it within ArtifactClass::kDelayTable).
+    std::map<std::string, Entry<std::shared_ptr<const dta::CharacterizationStats>>>
+        nominal_stats_;
     std::map<std::string, Entry<sim::PipelineTrace>> traces_;
     std::map<std::string, Entry<std::shared_ptr<const timing::UnitTraceDelays>>> unit_delays_;
     std::shared_future<std::vector<assembler::Program>> characterization_programs_;

@@ -239,7 +239,7 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
     // divided by the grid's distinct per-voltage design keys and the
     // quotient becomes the batched characterization engine's thread count.
     // Only distinct nominal keys actually run a characterization (every
-    // per-voltage table is a scaled view of its nominal table), but the
+    // per-voltage table is derived from its nominal statistics), but the
     // divisor still counts voltages, so any grid with at least as many
     // voltages as workers characterizes on one thread. A one-voltage grid
     // on 8 workers runs its single characterization on 8 threads.

@@ -137,11 +137,11 @@ struct SweepRunOptions {
     /// --no-simd) instead of the SIMD one. Never affects results — replay
     /// is byte-identical either way.
     bool force_scalar_replay = false;
-    /// Characterize every operating point with the full per-voltage
-    /// gate-level flow (CLI --reference-characterization) instead of
-    /// deriving scaled views of the shared nominal table. Never affects
-    /// results — the views are bit-identical to the reference — only how
-    /// the tables are produced (V characterizations instead of 1).
+    /// Characterize every operating point with the full gate-level flow
+    /// (CLI --reference-characterization) instead of deriving its table
+    /// from the shared nominal statistics. Never affects results — the
+    /// derived tables are bit-identical to the reference — only how the
+    /// tables are produced (V characterizations instead of 1).
     bool reference_characterization = false;
     /// Optional cooperative cancellation (deadline- or caller-driven),
     /// polled at cell boundaries and threaded into artifact builds and the
@@ -185,15 +185,16 @@ struct SweepResult {
     std::string mode;              ///< eval_mode_name of the executing engine
     double wall_ms = 0;
     /// Gate-level characterization flows this sweep executed (nominal +
-    /// reference passes; NOT derived scaled views). Exactly 1 on a cold
-    /// cache regardless of the voltage-axis width, unless
-    /// reference_characterization forces one per operating point.
+    /// reference passes; NOT derived tables). Exactly 1 on a cold cache
+    /// regardless of the voltage-axis width, guard band or occurrence
+    /// floor, unless reference_characterization forces one per operating
+    /// point.
     std::uint64_t characterizations = 0;
     /// Nominal characterization passes this sweep executed (cold cache: 1;
     /// warm or pre-seeded: 0; reference mode: 0).
     std::uint64_t nominal_passes = 0;
-    /// Per-voltage delay tables derived as DelayTable::scaled views of the
-    /// shared nominal entry (cold cache: one per operating point).
+    /// Delay tables derived from the shared nominal statistics by
+    /// dta::build_delay_table (cold cache: one per operating point).
     std::uint64_t scaled_views = 0;
     std::uint64_t cache_hits = 0;
     /// Guest simulations this sweep paid for its cells: traces recorded in

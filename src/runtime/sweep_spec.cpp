@@ -1,5 +1,6 @@
 #include "runtime/sweep_spec.hpp"
 
+#include <cmath>
 #include <cstdio>
 
 #include "common/error.hpp"
@@ -151,7 +152,11 @@ SweepSpec SweepSpec::parse(const std::string& text) {
             }
         } else if (key == "voltages") {
             for (const auto& voltage : split_list(value)) {
-                spec.voltages_v.push_back(parse_double(voltage));
+                const double volts = parse_double(voltage);
+                if (!std::isfinite(volts) || volts <= 0) {
+                    throw Error("bad voltage '" + voltage + "' (want a finite number > 0)");
+                }
+                spec.voltages_v.push_back(volts);
             }
         } else if (key == "variant") {
             if (value == "conventional") {
@@ -162,7 +167,13 @@ SweepSpec SweepSpec::parse(const std::string& text) {
                 throw Error("unknown variant '" + value + "' (conventional|critical-range)");
             }
         } else if (key == "guard_ps") {
+            // A negative or NaN guard would silently select the analyzer
+            // default (lut_guard_ps < 0 means "unset") and vanish from the
+            // spec stamp, so it is an error here.
             spec.lut_guard_ps = parse_double(value);
+            if (!std::isfinite(spec.lut_guard_ps) || spec.lut_guard_ps < 0) {
+                throw Error("bad guard_ps '" + value + "' (want a finite number >= 0)");
+            }
         } else if (key == "min_occurrences") {
             const auto n = parse_int(value);
             check(n.has_value() && *n >= 0, "bad min_occurrences '" + value + "'");

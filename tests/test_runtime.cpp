@@ -280,6 +280,84 @@ TEST(SweepEngine, ReferenceCharacterizationIsByteIdenticalToScaledViews) {
     EXPECT_EQ(to_json(derived, false), to_json(reference, false));
 }
 
+TEST(SweepEngine, DesignPointSpecsOnOneCacheMatchPerSpecReferenceRuns) {
+    // The guard band and the occurrence floor shape only the final table:
+    // specs that differ in them share one nominal characterization on one
+    // cache, and each canonical document equals a reference run of that
+    // spec that characterizes every operating point from scratch.
+    auto shared = std::make_shared<ArtifactCache>();
+    const SweepEngine engine(4, shared);
+    // Floors up to ~30 leave the suite's tables unchanged (every observed
+    // pair occurs more often); 100 sends some entries to the static limit.
+    const std::vector<std::pair<double, int>> design_points = {{0.0, 1}, {5.0, 4}, {25.0, 100}};
+    std::vector<double> mean_freqs;
+    for (std::size_t i = 0; i < design_points.size(); ++i) {
+        SCOPED_TRACE("guard " + std::to_string(design_points[i].first) + " floor " +
+                     std::to_string(design_points[i].second));
+        SweepSpec spec = small_spec();
+        spec.voltages_v = {0.62, 0.78};
+        spec.lut_guard_ps = design_points[i].first;
+        spec.min_occurrences = design_points[i].second;
+        const SweepResult derived = engine.run(spec);
+        EXPECT_EQ(derived.characterizations, i == 0 ? 1u : 0u);
+        EXPECT_EQ(derived.scaled_views, 2u);
+
+        SweepRunOptions options;
+        options.reference_characterization = true;
+        const SweepResult reference =
+            SweepEngine(4, std::make_shared<ArtifactCache>()).run(spec, options);
+        EXPECT_EQ(reference.characterizations, 2u);
+        EXPECT_EQ(to_json(derived, false), to_json(reference, false));
+        mean_freqs.push_back(derived.mean_eff_freq_mhz);
+    }
+    EXPECT_EQ(shared->nominal_passes(), 1u);
+    // The knobs reach the results: a wider guard band clocks slower.
+    EXPECT_GT(mean_freqs.front(), mean_freqs.back());
+}
+
+TEST(SweepEngine, NearbyVoltagesGetTheirOwnTables) {
+    // Table keys carry every bit of the voltage and the guard band, so an
+    // operating point 0.4 uV from another never reads its neighbour's
+    // table: in a two-voltage grid the 0.6999996 V cells equal the same
+    // cells swept alone.
+    SweepSpec alone;
+    alone.kernels = {"crc32", "fibcall"};
+    alone.policies = {core::PolicyKind::kInstructionLut, core::PolicyKind::kStatic};
+    alone.voltages_v = {0.6999996};
+    SweepSpec pair = alone;
+    pair.voltages_v = {0.7, 0.6999996};
+    EXPECT_NE(ArtifactCache::design_key(pair.design_for(0.7), dta::AnalyzerConfig{}),
+              ArtifactCache::design_key(pair.design_for(0.6999996), dta::AnalyzerConfig{}));
+
+    const SweepResult single = SweepEngine(2).run(alone);
+    const SweepResult both = SweepEngine(2).run(pair);
+    std::vector<const SweepCell*> near;
+    bool differs_from_nominal = false;
+    for (const SweepCell& cell : both.cells) {
+        if (cell.voltage_v == 0.6999996) {
+            near.push_back(&cell);
+        } else if (cell.policy == "lut") {
+            for (const SweepCell& other : single.cells) {
+                if (other.kernel == cell.kernel && other.policy == cell.policy &&
+                    other.result.avg_period_ps != cell.result.avg_period_ps) {
+                    differs_from_nominal = true;
+                }
+            }
+        }
+    }
+    EXPECT_TRUE(differs_from_nominal) << "the two voltages must not share a LUT figure";
+    ASSERT_EQ(near.size(), single.cells.size());
+    for (std::size_t i = 0; i < near.size(); ++i) {
+        SCOPED_TRACE(single.cells[i].kernel + "/" + single.cells[i].policy);
+        EXPECT_EQ(near[i]->kernel, single.cells[i].kernel);
+        EXPECT_EQ(near[i]->policy, single.cells[i].policy);
+        EXPECT_EQ(near[i]->result.avg_period_ps, single.cells[i].result.avg_period_ps);
+        EXPECT_EQ(near[i]->result.total_time_ps, single.cells[i].result.total_time_ps);
+        EXPECT_EQ(near[i]->result.static_period_ps, single.cells[i].result.static_period_ps);
+        EXPECT_EQ(near[i]->result.timing_violations, 0u);
+    }
+}
+
 TEST(SweepEngine, CellsArriveInSpecDeclarationOrder) {
     const SweepEngine engine(4);
     const SweepResult result = engine.run(small_spec());
@@ -694,6 +772,16 @@ TEST(SweepSpec, RejectsBadInput) {
     EXPECT_THROW(SweepSpec::parse("voltages = 0.7, oops\n"), Error);
     EXPECT_THROW(SweepSpec::parse("voltages = 0.7 0.8\n"), Error);  // missing comma
     EXPECT_THROW(SweepSpec::parse("guard_ps = many\n"), Error);
+    // Invalid guard bands and voltages fail at parse time instead of
+    // quietly becoming the default guard or dying after the whole grid ran.
+    EXPECT_THROW(SweepSpec::parse("guard_ps = -5\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("guard_ps = nan\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("guard_ps = inf\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("voltages = nan\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("voltages = 0.7, inf\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("voltages = 0\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("voltages = -0.7\n"), Error);
+    EXPECT_NO_THROW(SweepSpec::parse("guard_ps = 0\nvoltages = 0.6999996\n"));
     EXPECT_THROW(SweepSpec::parse("variant = quantum\n"), Error);
     EXPECT_THROW(SweepSpec::parse("min_occurrences = -3\n"), Error);
 }
@@ -724,6 +812,73 @@ TEST(ArtifactCache, DelayTableMatchesStreamingFlowByteForByte) {
     const auto programs = workloads::assemble_programs(workloads::characterization_suite());
     const auto streaming = flow.run(programs, core::CharacterizationMode::kStreaming);
     EXPECT_EQ(cached.serialize(), streaming.table.serialize());
+}
+
+TEST(ArtifactCache, OneNominalPassPerVariantServesEveryDesignPoint) {
+    // Both variants x guards {0, 5, 25} x floors {1, 4, 10, 100} x voltages
+    // {0.6, 0.7, 0.8} on one cache: two nominal characterizations in all,
+    // and every derived table serializes exactly like a characterization
+    // of its own design point from scratch. Floors 1-10 give one table on
+    // the characterization suite (every observed pair occurs more often),
+    // so floor 100 is what makes the floor axis bite.
+    struct DesignPoint {
+        timing::DesignConfig design;
+        dta::AnalyzerConfig analyzer;
+        std::string label;
+    };
+    std::vector<DesignPoint> points;
+    for (const auto variant : {timing::DesignVariant::kCriticalRangeOptimized,
+                               timing::DesignVariant::kConventional}) {
+        for (const double voltage : {0.6, 0.7, 0.8}) {
+            for (const double guard : {0.0, 5.0, 25.0}) {
+                for (const int floor : {1, 4, 10, 100}) {
+                    DesignPoint point;
+                    point.design.variant = variant;
+                    point.design.voltage_v = voltage;
+                    point.analyzer.lut_guard_ps = guard;
+                    point.analyzer.min_occurrences = floor;
+                    point.label = ArtifactCache::design_key(point.design, point.analyzer);
+                    points.push_back(point);
+                }
+            }
+        }
+    }
+
+    ArtifactCache cache;
+    std::vector<std::string> derived;
+    for (const DesignPoint& point : points) {
+        derived.push_back(cache.delay_table(point.design, point.analyzer).get().serialize());
+    }
+    EXPECT_EQ(cache.nominal_passes(), 2u);
+    EXPECT_EQ(cache.scaled_views(), points.size());
+    EXPECT_EQ(cache.reference_passes(), 0u);
+
+    // Reference tables live under the same keys as derived ones, so they
+    // get their own cache; four threads share its builds.
+    ArtifactCache reference_cache;
+    std::vector<std::string> reference(points.size());
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < 4; ++t) {
+        workers.emplace_back([&] {
+            for (std::size_t i = next++; i < points.size(); i = next++) {
+                reference[i] = reference_cache
+                                   .delay_table(points[i].design, points[i].analyzer, 1,
+                                                nullptr, /*reference_characterization=*/true)
+                                   .get()
+                                   .serialize();
+            }
+        });
+    }
+    for (auto& worker : workers) worker.join();
+    EXPECT_EQ(reference_cache.reference_passes(), points.size());
+    EXPECT_EQ(reference_cache.nominal_passes(), 0u);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(derived[i], reference[i]) << points[i].label;
+    }
+    // points[0..3] share variant, voltage and guard and differ in floor.
+    EXPECT_EQ(derived[0], derived[2]);
+    EXPECT_NE(derived[0], derived[3]);
 }
 
 TEST(ArtifactCache, ProgramsAreSharedAndCounted) {

@@ -126,7 +126,7 @@ using namespace focs;
                  "                          byte-identical either way\n"
                  "      --reference-characterization:\n"
                  "                          characterize every voltage point from scratch\n"
-                 "                          instead of scaling one nominal delay table;\n"
+                 "                          instead of deriving it from one nominal pass;\n"
                  "                          results are byte-identical either way\n"
                  "  stats <file.s|kernel:NAME> [--lut lut.txt]\n"
                  "  serve [--port N] [--max-inflight N] [--queue-depth N]\n"
