@@ -331,31 +331,25 @@ TEST(SweepEngine, NearbyVoltagesGetTheirOwnTables) {
 
     const SweepResult single = SweepEngine(2).run(alone);
     const SweepResult both = SweepEngine(2).run(pair);
-    std::vector<const SweepCell*> near;
-    bool differs_from_nominal = false;
+    std::vector<const SweepCell*> nominal, near;
     for (const SweepCell& cell : both.cells) {
-        if (cell.voltage_v == 0.6999996) {
-            near.push_back(&cell);
-        } else if (cell.policy == "lut") {
-            for (const SweepCell& other : single.cells) {
-                if (other.kernel == cell.kernel && other.policy == cell.policy &&
-                    other.result.avg_period_ps != cell.result.avg_period_ps) {
-                    differs_from_nominal = true;
-                }
-            }
-        }
+        (cell.voltage_v == 0.7 ? nominal : near).push_back(&cell);
     }
-    EXPECT_TRUE(differs_from_nominal) << "the two voltages must not share a LUT figure";
+    ASSERT_EQ(nominal.size(), single.cells.size());
     ASSERT_EQ(near.size(), single.cells.size());
+    bool lut_differs = false;  // else a shared table could not show
     for (std::size_t i = 0; i < near.size(); ++i) {
-        SCOPED_TRACE(single.cells[i].kernel + "/" + single.cells[i].policy);
-        EXPECT_EQ(near[i]->kernel, single.cells[i].kernel);
-        EXPECT_EQ(near[i]->policy, single.cells[i].policy);
-        EXPECT_EQ(near[i]->result.avg_period_ps, single.cells[i].result.avg_period_ps);
-        EXPECT_EQ(near[i]->result.total_time_ps, single.cells[i].result.total_time_ps);
-        EXPECT_EQ(near[i]->result.static_period_ps, single.cells[i].result.static_period_ps);
+        const SweepCell& expected = single.cells[i];
+        SCOPED_TRACE(expected.kernel + "/" + expected.policy);
+        EXPECT_EQ(near[i]->kernel, expected.kernel);
+        EXPECT_EQ(near[i]->policy, expected.policy);
+        EXPECT_EQ(near[i]->result.avg_period_ps, expected.result.avg_period_ps);
+        EXPECT_EQ(near[i]->result.total_time_ps, expected.result.total_time_ps);
         EXPECT_EQ(near[i]->result.timing_violations, 0u);
+        lut_differs |= expected.policy == "lut" &&
+                       nominal[i]->result.avg_period_ps != expected.result.avg_period_ps;
     }
+    EXPECT_TRUE(lut_differs);
 }
 
 TEST(SweepEngine, CellsArriveInSpecDeclarationOrder) {
@@ -862,11 +856,12 @@ TEST(ArtifactCache, OneNominalPassPerVariantServesEveryDesignPoint) {
     for (int t = 0; t < 4; ++t) {
         workers.emplace_back([&] {
             for (std::size_t i = next++; i < points.size(); i = next++) {
-                reference[i] = reference_cache
-                                   .delay_table(points[i].design, points[i].analyzer, 1,
-                                                nullptr, /*reference_characterization=*/true)
-                                   .get()
-                                   .serialize();
+                EXPECT_NO_THROW(reference[i] =
+                                    reference_cache
+                                        .delay_table(points[i].design, points[i].analyzer, 1,
+                                                     nullptr, /*reference_characterization=*/true)
+                                        .get()
+                                        .serialize());
             }
         });
     }
