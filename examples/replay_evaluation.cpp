@@ -6,16 +6,16 @@
 //      fused stage-major pass); every operating point is a ScaledTraceDelays
 //      view — the shared array plus one delay-scale scalar.
 //   3. Replay every bundled policy — including the promoted approx-lut and
-//      dual-cycle kinds, and a custom ClockPolicy through the generic
-//      fallback — against the same trace; each result is byte-identical to
-//      a live DcaEngine::run of that cell.
+//      dual-cycle kinds and a parameterized approx-lut:0.92 — against the
+//      same trace; each result is byte-identical to a live DcaEngine::run
+//      of that cell.
 //
 // Build & run:  ./build/example_replay_evaluation
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "asm/assembler.hpp"
-#include "core/dca_engine.hpp"
 #include "core/flows.hpp"
 #include "core/replay_engine.hpp"
 #include "sim/trace_recorder.hpp"
@@ -54,22 +54,14 @@ int main() {
     // -- 3. Replay the whole policy batch over the shared trace --------------
     const core::ReplayEvaluationEngine engine(trace, delays, table);
     std::printf("\n%-16s %10s %9s %10s\n", "policy", "MHz", "speedup", "violations");
-    for (const auto kind :
-         {core::PolicyKind::kStatic, core::PolicyKind::kTwoClass, core::PolicyKind::kDualCycle,
-          core::PolicyKind::kExOnly, core::PolicyKind::kInstructionLut,
-          core::PolicyKind::kApproxLut, core::PolicyKind::kGenie}) {
-        const core::DcaRunResult r = engine.run(kind);
+    for (const core::PolicySpec& spec : std::vector<core::PolicySpec>{
+             core::PolicyKind::kStatic, core::PolicyKind::kTwoClass,
+             core::PolicyKind::kDualCycle, core::PolicyKind::kExOnly,
+             core::PolicyKind::kInstructionLut, core::PolicyKind::kApproxLut,
+             core::PolicySpec::parse("approx-lut:0.92"), core::PolicyKind::kGenie}) {
+        const core::DcaRunResult r = engine.run(spec);
         std::printf("%-16s %10.1f %8.3fx %10llu\n", r.policy.c_str(), r.eff_freq_mhz,
                     r.speedup_vs_static, static_cast<unsigned long long>(r.timing_violations));
     }
-
-    // Custom policies replay through the generic fallback — also against
-    // the shared ground truth (no delay-model pass per cell).
-    core::ApproximateLutPolicy approx(table, 0.92);
-    core::DcaEngine dca(design);
-    const core::DcaRunResult r = dca.replay(trace, delays, approx);
-    std::printf("%-16s %10.1f %8.3fx %10llu   (custom, generic fallback)\n", r.policy.c_str(),
-                r.eff_freq_mhz, r.speedup_vs_static,
-                static_cast<unsigned long long>(r.timing_violations));
     return 0;
 }

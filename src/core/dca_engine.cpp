@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/error.hpp"
 #include "common/units.hpp"
 
 namespace focs::core {
@@ -71,91 +70,6 @@ DcaRunResult DcaEngine::run(const assembler::Program& program, ClockPolicy& poli
 DcaRunResult DcaEngine::run(const assembler::Program& program, ClockPolicy& policy) {
     clocking::IdealClockGenerator ideal;
     return run(program, policy, ideal);
-}
-
-DcaRunResult DcaEngine::replay(const sim::PipelineTrace& trace, ClockPolicy& policy,
-                               clocking::ClockGenerator& generator) const {
-    policy.reset();
-    generator.reset();
-    // Same per-cycle protocol as DcaObserver::on_cycle, fed from the
-    // recorded records instead of a stepping pipeline. The actual timing
-    // requirement is re-evaluated here because an arbitrary policy may read
-    // any CycleDelays field; the bundled kinds go through the replay
-    // engine's cached flat arrays instead.
-    DcaObserver observer(calculator_, policy, generator);
-    for (const sim::CycleRecord& record : trace.records) observer.on_cycle(record);
-
-    DcaRunResult result = finish_run(policy.name(), generator.name(), observer.cycles(),
-                                     observer.total_time_ps(), calculator_.static_period_ps(),
-                                     observer.violations(), observer.worst_violation_ps());
-    result.guest = trace.guest;
-    return result;
-}
-
-DcaRunResult DcaEngine::replay(const sim::PipelineTrace& trace, ClockPolicy& policy) const {
-    clocking::IdealClockGenerator ideal;
-    return replay(trace, policy, ideal);
-}
-
-DcaRunResult DcaEngine::replay(const sim::PipelineTrace& trace,
-                               const timing::ScaledTraceDelays& delays, ClockPolicy& policy,
-                               clocking::ClockGenerator& generator) const {
-    check(delays.unit != nullptr, "replay needs a unit trace-delay artifact");
-    check(delays.cycles() == trace.cycles(),
-          "trace delays were computed from a different trace (cycle count mismatch)");
-    // cycles() is defined by the required-period array alone; the limiting-
-    // stage row is indexed per cycle below, so a hand-assembled artifact
-    // with mismatched rows must not get past construction checks.
-    check(delays.unit->limiting_stage.size() == delays.unit->unit_required_period_ps.size(),
-          "unit trace delays have mismatched limiting-stage and period rows");
-    // scale_trace_delays copies the calculator's static period verbatim, so
-    // a view derived at a different operating point than this engine's is
-    // caught by one exact compare instead of silently skewing violations.
-    check(delays.static_period_ps == calculator_.static_period_ps(),
-          "trace delays were scaled for a different operating point");
-    policy.reset();
-    generator.reset();
-    const double* unit = delays.unit->unit_required_period_ps.data();
-    const sim::Stage* limiting = delays.unit->limiting_stage.data();
-    const double scale = delays.delay_scale;
-
-    // Same per-cycle protocol as DcaObserver::on_cycle, with the actual
-    // requirement derived from the shared unit array (fl(unit * scale) is
-    // bit-identical to the live calculator's per-stage max) instead of a
-    // fresh delay-model pass. Per-stage arrivals are not materialized —
-    // PolicyContext::actual is the genie's oracle channel only.
-    double total_time_ps = 0;
-    std::uint64_t cycles = 0;
-    std::uint64_t violations = 0;
-    double worst_violation_ps = 0;
-    timing::CycleDelays actual;
-    for (const sim::CycleRecord& record : trace.records) {
-        actual.required_period_ps = unit[cycles] * scale;
-        actual.limiting_stage = limiting[cycles];
-        const PolicyContext context{record, actual};
-        const double requested = policy.requested_period_ps(context);
-        const double granted = generator.grant_period_ps(requested);
-        total_time_ps += granted;
-        ++cycles;
-        if (granted + kViolationTolerancePs < actual.required_period_ps) {
-            ++violations;
-            worst_violation_ps =
-                std::max(worst_violation_ps, actual.required_period_ps - granted);
-        }
-    }
-
-    DcaRunResult result =
-        finish_run(policy.name(), generator.name(), cycles, total_time_ps,
-                   delays.static_period_ps, violations, worst_violation_ps);
-    result.guest = trace.guest;
-    return result;
-}
-
-DcaRunResult DcaEngine::replay(const sim::PipelineTrace& trace,
-                               const timing::ScaledTraceDelays& delays,
-                               ClockPolicy& policy) const {
-    clocking::IdealClockGenerator ideal;
-    return replay(trace, delays, policy, ideal);
 }
 
 DcaRunResult finish_run(std::string policy, std::string generator, std::uint64_t cycles,

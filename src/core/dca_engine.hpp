@@ -15,9 +15,7 @@
 #include "clock/clock_generator.hpp"
 #include "core/policies.hpp"
 #include "sim/machine.hpp"
-#include "sim/trace_recorder.hpp"
 #include "timing/delay_model.hpp"
-#include "timing/trace_delays.hpp"
 
 namespace focs::core {
 
@@ -52,37 +50,6 @@ public:
 
     /// Convenience overload with an ideal (continuously tunable) generator.
     DcaRunResult run(const assembler::Program& program, ClockPolicy& policy);
-
-    /// Replays a recorded trace under `policy` without stepping the machine:
-    /// walks the trace's cycle records through the same per-cycle protocol
-    /// as run() (evaluate actual requirement, request, grant, integrate,
-    /// check safety) and produces a byte-identical DcaRunResult. This is
-    /// the generic path for arbitrary ClockPolicy objects; the bundled
-    /// PolicyKinds have devirtualized SoA kernels in ReplayEvaluationEngine.
-    DcaRunResult replay(const sim::PipelineTrace& trace, ClockPolicy& policy,
-                        clocking::ClockGenerator& generator) const;
-
-    /// Replay overload with an ideal (continuously tunable) generator.
-    DcaRunResult replay(const sim::PipelineTrace& trace, ClockPolicy& policy) const;
-
-    /// Generic replay against precomputed shared ground truth: the per-
-    /// cycle requirement is one multiply of the voltage-free unit array
-    /// instead of a full delay-model pass per replayed cell — the same
-    /// record-once/derive-many move the devirtualized kernels use, for
-    /// arbitrary ClockPolicy objects. The PolicyContext handed to the
-    /// policy carries the requirement and limiting stage of each cycle but
-    /// zeroed per-stage arrivals (PolicyContext::actual is reserved for the
-    /// genie bound; predictive policies must not read it). Byte-identical
-    /// to the evaluating overloads for every policy honouring that
-    /// contract. `delays` must view unit delays of `trace` at this engine's
-    /// operating point.
-    DcaRunResult replay(const sim::PipelineTrace& trace,
-                        const timing::ScaledTraceDelays& delays, ClockPolicy& policy,
-                        clocking::ClockGenerator& generator) const;
-
-    /// Shared-ground-truth replay with an ideal generator.
-    DcaRunResult replay(const sim::PipelineTrace& trace,
-                        const timing::ScaledTraceDelays& delays, ClockPolicy& policy) const;
 
     const timing::DelayCalculator& calculator() const { return calculator_; }
 

@@ -193,25 +193,27 @@ PolicySpec PolicySpec::parse(const std::string& text) {
     PolicySpec spec;
     spec.kind = parse_policy_kind(colon == std::string::npos ? text : text.substr(0, colon));
     if (colon == std::string::npos) return spec;
-    check(spec.kind == PolicyKind::kApproxLut || spec.kind == PolicyKind::kDualCycle,
-          "policy '" + text + "': only approx-lut and dual-cycle take a parameter");
+    if (spec.kind != PolicyKind::kApproxLut && spec.kind != PolicyKind::kDualCycle) {
+        throw Error("policy '" + text + "': only approx-lut and dual-cycle take a parameter");
+    }
     const std::string param_text = text.substr(colon + 1);
     double param = 0;
     try {
         std::size_t pos = 0;
         param = std::stod(param_text, &pos);
-        check(pos == param_text.size(),
-              "policy '" + text + "': trailing characters in parameter");
+        if (pos != param_text.size()) {
+            throw Error("policy '" + text + "': trailing characters in parameter");
+        }
     } catch (const std::invalid_argument&) {
         throw Error("policy '" + text + "': malformed parameter '" + param_text + "'");
     } catch (const std::out_of_range&) {
         throw Error("policy '" + text + "': parameter out of range");
     }
-    if (spec.kind == PolicyKind::kApproxLut) {
-        check(param > 0 && param <= 1.0,
-              "policy '" + text + "': approx-lut scale must be in (0, 1]");
-    } else {
-        check(param >= 1.0, "policy '" + text + "': dual-cycle stretch must be >= 1");
+    if (spec.kind == PolicyKind::kApproxLut && !(param > 0 && param <= 1.0)) {
+        throw Error("policy '" + text + "': approx-lut scale must be in (0, 1]");
+    }
+    if (spec.kind == PolicyKind::kDualCycle && !(param >= 1.0)) {
+        throw Error("policy '" + text + "': dual-cycle stretch must be >= 1");
     }
     // Normalize a spelled-out default back to "no parameter" so equal grids
     // compare, hash and serialize identically.

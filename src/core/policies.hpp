@@ -144,8 +144,8 @@ private:
 
 /// Factory enum used by the evaluation flow, the sweep axis and benches.
 /// kApproxLut and kDualCycle are the promoted forms of the approximate /
-/// dual-cycle baselines, so sweeps can grid over them with devirtualized
-/// replay kernels instead of the generic fallback.
+/// dual-cycle baselines, so sweeps can grid over them (with any parameter,
+/// see PolicySpec) through the devirtualized replay kernels.
 enum class PolicyKind {
     kStatic,
     kGenie,

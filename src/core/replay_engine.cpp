@@ -111,26 +111,21 @@ std::vector<DcaRunResult> ReplayEvaluationEngine::run_fused(
     // Mask kernel: each stage gets a select row (slow ? slow : fast) and
     // the fill is a pure gather/max — exact because slow >= fast >= 0 makes
     // "max over per-stage selects" and "any stage slow" the same function.
-    // When that guard fails (a legacy set() table can put a fast-class
-    // entry above the static period), the rows hold 0/1 slow flags instead
-    // and the gathered max selects slow : fast.
+    // The guard always holds: every entry is clamped to the static period
+    // (so two-class's fast period is at most its slow, static one) and the
+    // dual-cycle stretch is >= 1.
     const auto class_select = [&](double fast, double slow) {
-        const bool mask = slow >= fast && fast >= 0.0;
+        check(slow >= fast && fast >= 0.0, "class-select periods need slow >= fast >= 0");
         for (std::size_t s = 0; s < kStages; ++s) {
             for (std::size_t key = 0; key < kKeys; ++key) {
                 const auto occ = static_cast<OccKey>(key);
                 const bool is_slow = TwoClassPolicy::is_slow_key(occ) ||
                                      !table.characterized(occ, static_cast<Stage>(s));
-                rows[s][key] = mask ? (is_slow ? slow : fast) : (is_slow ? 1.0 : 0.0);
+                rows[s][key] = is_slow ? slow : fast;
             }
             stages[s] = {keys[s].data(), rows[s].data()};
         }
         stage_count = sim::kStageCount;
-        if (mask) return;
-        fill = [&, fast, slow](std::size_t begin, std::size_t end, double* out) {
-            gather(begin, end, out);
-            for (std::size_t i = 0; i < end - begin; ++i) out[i] = out[i] != 0.0 ? slow : fast;
-        };
     };
 
     switch (spec.kind) {

@@ -12,10 +12,10 @@
 // period ground truth is consumed as a ScaledTraceDelays view — the
 // trace's voltage-free unit array plus the operating point's delay scale —
 // so every voltage point of a sweep shares one resident array and the
-// safety check is one multiply per cycle. Custom ClockPolicy objects fall
-// back to the generic DcaEngine::replay walk. Every path produces
-// DcaRunResults byte-identical to a live DcaEngine::run of the same cell
-// at any block size.
+// safety check is one multiply per cycle. Every PolicySpec (parameterized
+// approx-lut and dual-cycle included) produces DcaRunResults byte-
+// identical to a live DcaEngine::run of the same cell at any block size;
+// a custom ClockPolicy object is evaluated live.
 //
 // There is one fill builder and one block loop (run_fused; run() is its
 // single-variant case). Fills and reductions dispatch through a kernel

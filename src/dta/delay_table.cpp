@@ -1,8 +1,11 @@
 #include "dta/delay_table.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <system_error>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -49,44 +52,22 @@ DelayTable::DelayTable(double static_period_ps, double lut_guard_ps)
     for (auto& row : effective_) row.fill(static_period_ps_);
 }
 
-void DelayTable::set(OccKey key, Stage stage, double delay_ps) {
-    check(key >= 0 && key < kKeyCount, "delay table key out of range");
-    check(delay_ps > 0, "delay table entry must be positive");
-    has_raw_ = false;
-    delays_[static_cast<std::size_t>(key)][static_cast<std::size_t>(stage)] = delay_ps;
-    present_[static_cast<std::size_t>(key)][static_cast<std::size_t>(stage)] = true;
-    effective_[static_cast<std::size_t>(key)][static_cast<std::size_t>(stage)] = delay_ps;
-}
-
 void DelayTable::set_characterized(OccKey key, Stage stage, double raw_max_ps) {
     check(key >= 0 && key < kKeyCount, "delay table key out of range");
     check(raw_max_ps > 0, "raw characterized maximum must be positive");
-    check(has_raw_, "cannot mix raw characterized entries into a legacy table");
     raw_[static_cast<std::size_t>(key)][static_cast<std::size_t>(stage)] = raw_max_ps;
-    const double entry = std::min(raw_max_ps + lut_guard_ps_, static_period_ps_);
-    delays_[static_cast<std::size_t>(key)][static_cast<std::size_t>(stage)] = entry;
-    present_[static_cast<std::size_t>(key)][static_cast<std::size_t>(stage)] = true;
-    effective_[static_cast<std::size_t>(key)][static_cast<std::size_t>(stage)] = entry;
+    effective_[static_cast<std::size_t>(key)][static_cast<std::size_t>(stage)] =
+        std::min(raw_max_ps + lut_guard_ps_, static_period_ps_);
 }
 
 bool DelayTable::characterized(OccKey key, Stage stage) const {
     check(key >= 0 && key < kKeyCount, "delay table key out of range");
-    return present_[static_cast<std::size_t>(key)][static_cast<std::size_t>(stage)];
+    return raw_[static_cast<std::size_t>(key)][static_cast<std::size_t>(stage)] > 0;
 }
 
 double DelayTable::lookup(OccKey key, Stage stage) const {
-    return characterized(key, stage)
-               ? delays_[static_cast<std::size_t>(key)][static_cast<std::size_t>(stage)]
-               : static_period_ps_;
-}
-
-double DelayTable::cycle_period_ps(const std::array<OccKey, sim::kStageCount>& keys) const {
-    double period = 0;
-    for (int s = 0; s < sim::kStageCount; ++s) {
-        const double d = lookup(keys[static_cast<std::size_t>(s)], static_cast<Stage>(s));
-        if (d > period) period = d;
-    }
-    return period;
+    check(key >= 0 && key < kKeyCount, "delay table key out of range");
+    return effective(key, stage);
 }
 
 double DelayTable::cycle_period_ps(const sim::CycleRecord& record) const {
@@ -109,19 +90,13 @@ DelayTable DelayTable::scaled(double factor) const {
     for (OccKey key = 0; key < kKeyCount; ++key) {
         for (int s = 0; s < sim::kStageCount; ++s) {
             if (!characterized(key, static_cast<Stage>(s))) continue;
-            if (has_raw_) {
-                // Scale the raw maximum, then re-apply the voltage-
-                // independent guard band and the scaled static clamp inside
-                // set_characterized — the exact expression a reference
-                // characterization at the target operating point computes.
-                out.set_characterized(
-                    key, static_cast<Stage>(s),
-                    raw_[static_cast<std::size_t>(key)][static_cast<std::size_t>(s)] * factor);
-            } else {
-                out.set(key, static_cast<Stage>(s),
-                        delays_[static_cast<std::size_t>(key)][static_cast<std::size_t>(s)] *
-                            factor);
-            }
+            // Scale the raw maximum, then re-apply the voltage-independent
+            // guard band and the scaled static clamp inside
+            // set_characterized — the exact expression a reference
+            // characterization at the target operating point computes.
+            out.set_characterized(
+                key, static_cast<Stage>(s),
+                raw_[static_cast<std::size_t>(key)][static_cast<std::size_t>(s)] * factor);
         }
     }
     return out;
@@ -129,48 +104,53 @@ DelayTable DelayTable::scaled(double factor) const {
 
 std::string DelayTable::serialize() const {
     char line[160];
-    std::string out;
-    if (has_raw_) {
-        // v2: raw maxima at full precision so a deserialized table keeps
-        // producing bit-identical scaled() views.
-        std::snprintf(line, sizeof line, "delay_table v2 static_ps=%.17g guard_ps=%.17g\n",
-                      static_period_ps_, lut_guard_ps_);
-        out = line;
-        for (OccKey key = 0; key < kKeyCount; ++key) {
-            for (int s = 0; s < sim::kStageCount; ++s) {
-                if (!characterized(key, static_cast<Stage>(s))) continue;
-                std::snprintf(line, sizeof line, "%d %d %.17g\n", key, s,
-                              raw_[static_cast<std::size_t>(key)][static_cast<std::size_t>(s)]);
-                out += line;
-            }
-        }
-        return out;
-    }
-    out = "delay_table v1 static_ps=" + std::to_string(static_period_ps_) + "\n";
+    std::snprintf(line, sizeof line, "delay_table v2 static_ps=%.17g guard_ps=%.17g\n",
+                  static_period_ps_, lut_guard_ps_);
+    std::string out = line;
     for (OccKey key = 0; key < kKeyCount; ++key) {
         for (int s = 0; s < sim::kStageCount; ++s) {
             if (!characterized(key, static_cast<Stage>(s))) continue;
-            std::snprintf(line, sizeof line, "%d %d %.4f\n", key, s,
-                          delays_[static_cast<std::size_t>(key)][static_cast<std::size_t>(s)]);
+            std::snprintf(line, sizeof line, "%d %d %.17g\n", key, s,
+                          raw_[static_cast<std::size_t>(key)][static_cast<std::size_t>(s)]);
             out += line;
         }
     }
     return out;
 }
 
+namespace {
+
+/// One whole, finite number of a table file; anything else (trailing
+/// characters, overflow, inf, nan) is a ParseError naming the field.
+double parse_number(std::string_view text, const char* field, int line_no) {
+    double value = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end || !std::isfinite(value)) {
+        throw ParseError("bad " + std::string(field) + " '" + std::string(text) + "'", line_no);
+    }
+    return value;
+}
+
+}  // namespace
+
 DelayTable DelayTable::deserialize(const std::string& text) {
     std::istringstream in(text);
     std::string header;
     std::getline(in, header);
     const auto fields = split_whitespace(header);
-    const bool v1 = fields.size() == 3 && fields[1] == "v1" && starts_with(fields[2], "static_ps=");
-    const bool v2 = fields.size() == 4 && fields[1] == "v2" &&
-                    starts_with(fields[2], "static_ps=") && starts_with(fields[3], "guard_ps=");
-    if (fields.empty() || fields[0] != "delay_table" || (!v1 && !v2)) {
-        throw ParseError("malformed delay table header: " + header);
+    if (fields.size() != 4 || fields[0] != "delay_table" || fields[1] != "v2" ||
+        !starts_with(fields[2], "static_ps=") || !starts_with(fields[3], "guard_ps=")) {
+        throw ParseError(
+            "malformed delay table header (want 'delay_table v2 static_ps=P guard_ps=G'): " +
+                header,
+            1);
     }
-    const double guard = v2 ? std::stod(fields[3].substr(9)) : 0.0;
-    DelayTable table(std::stod(fields[2].substr(10)), guard);
+    const double static_ps = parse_number(std::string_view(fields[2]).substr(10), "static_ps", 1);
+    const double guard_ps = parse_number(std::string_view(fields[3]).substr(9), "guard_ps", 1);
+    if (static_ps <= 0) throw ParseError("static_ps must be > 0", 1);
+    if (guard_ps < 0) throw ParseError("guard_ps must be >= 0", 1);
+    DelayTable table(static_ps, guard_ps);
     std::string line;
     int line_no = 1;
     while (std::getline(in, line)) {
@@ -184,12 +164,14 @@ DelayTable DelayTable::deserialize(const std::string& text) {
             *stage >= sim::kStageCount) {
             throw ParseError("delay table entry out of range", line_no);
         }
-        if (v2) {
-            table.set_characterized(static_cast<OccKey>(*key), static_cast<Stage>(*stage),
-                                    std::stod(parts[2]));
-        } else {
-            table.set(static_cast<OccKey>(*key), static_cast<Stage>(*stage), std::stod(parts[2]));
+        const double raw = parse_number(parts[2], "raw maximum", line_no);
+        if (raw <= 0) throw ParseError("raw maximum must be > 0", line_no);
+        const auto occ = static_cast<OccKey>(*key);
+        const auto st = static_cast<Stage>(*stage);
+        if (table.characterized(occ, st)) {
+            throw ParseError("repeated delay table entry " + parts[0] + " " + parts[1], line_no);
         }
+        table.set_characterized(occ, st, raw);
     }
     return table;
 }

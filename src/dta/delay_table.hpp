@@ -5,10 +5,11 @@
 // stages. Entries hold the worst dynamic delay observed during
 // characterization (plus the guard band); uncharacterized entries fall back
 // to the static timing limit, exactly as the paper handles instructions
-// with too few occurrences in the characterization benchmark. Each entry is
-// stored split into its scalable raw maximum and the voltage-independent
+// with too few occurrences in the characterization benchmark. Every entry
+// is stored split into its scalable raw maximum and the voltage-independent
 // guard band, so one nominal characterization serves every operating point
-// through exact scaled() views (see DelayTable::scaled).
+// through exact scaled() views, and the text form (v2) round-trips the
+// split at full precision.
 #pragma once
 
 #include <array>
@@ -50,12 +51,6 @@ public:
     double static_period_ps() const { return static_period_ps_; }
     double lut_guard_ps() const { return lut_guard_ps_; }
 
-    /// Sets an entry directly (legacy/manual form). The final LUT value is
-    /// stored as-is, with no raw/guard decomposition, so the table loses
-    /// its exact-rescaling property: scaled() falls back to multiplying
-    /// finished entries.
-    void set(OccKey key, sim::Stage stage, double delay_ps);
-
     /// Sets a characterized entry from the RAW observed maximum (before the
     /// guard band): the finished LUT value becomes
     /// min(raw_max_ps + lut_guard_ps, static_period_ps). Keeping the raw
@@ -64,32 +59,16 @@ public:
     /// the voltage-independent guard band and the scaled static clamp).
     void set_characterized(OccKey key, sim::Stage stage, double raw_max_ps);
 
-    /// True while every entry was produced by set_characterized(): the
-    /// table carries raw maxima and scaled() is an exact reference-
-    /// characterization image. A single legacy set() clears it for good.
-    bool has_raw() const { return has_raw_; }
-
-    /// Raw characterized maximum (before guard band); only meaningful when
-    /// has_raw() and characterized(key, stage).
-    double raw(OccKey key, sim::Stage stage) const {
-        return raw_[static_cast<std::size_t>(key)][static_cast<std::size_t>(stage)];
-    }
-
     /// True when characterization produced an entry for (key, stage).
     bool characterized(OccKey key, sim::Stage stage) const;
 
     /// Characterized delay, or the static period as a safe fallback.
     double lookup(OccKey key, sim::Stage stage) const;
 
-    /// Clock period for a whole cycle: max over stages of lookup(keys[s], s)
-    /// (paper eq. 2).
-    double cycle_period_ps(const std::array<OccKey, sim::kStageCount>& keys) const;
-
-    /// Fused attribution + lookup fast path for the per-cycle policy hot
-    /// loop: equivalent to cycle_period_ps(attribution_keys(record)) but
-    /// derives each stage's key inline and reads the fallback-resolved
-    /// entry directly (no intermediate key array, no per-stage range
-    /// checks — keys produced by attribution are in range by construction).
+    /// Clock period for a whole cycle (paper eq. 2): the max over stages of
+    /// the entry of each stage's attribution key (attribution_keys), derived
+    /// inline with no per-stage range checks — keys produced by attribution
+    /// are in range by construction.
     double cycle_period_ps(const sim::CycleRecord& record) const;
 
     /// Unchecked fallback-resolved read for the replay engine's SoA policy
@@ -102,22 +81,22 @@ public:
     /// Voltage view: retargets the table to another operating point by
     /// `factor` (the cell library's delay-scale ratio). This is the paper's
     /// proposed "(online-)updating of the used delay prediction table".
-    /// For a table built with set_characterized() (has_raw()), the view is
-    /// bit-identical to re-running the characterization at the target
-    /// operating point: the per-voltage reference computes
+    /// The view is bit-identical to re-running the characterization at the
+    /// target operating point: the per-voltage reference computes
     ///   min(fl(fl(raw * factor) + guard), fl(static * factor))
     /// because per-cycle delays scale as fl(unit * factor) and max commutes
     /// with multiplication by a positive constant under IEEE rounding
     /// (rounding monotonicity), and scaled() evaluates exactly that
-    /// expression. Legacy tables (manual set(), v1 deserialization) fall
-    /// back to multiplying finished entries, which matches the pre-split
-    /// semantics but not a reference characterization bit-for-bit.
+    /// expression.
     DelayTable scaled(double factor) const;
 
-    /// Serialization (text, one line per characterized entry). Raw-backed
-    /// tables emit the v2 format (guard band in the header, full-precision
-    /// raw maxima); legacy tables keep emitting v1. deserialize() accepts
-    /// both.
+    /// Text form, one line per characterized entry: the v2 format (static
+    /// period and guard band in the header, full-precision raw maxima), so
+    /// a deserialized table keeps producing bit-identical scaled() views.
+    /// deserialize() reads only v2 and throws ParseError, with the line
+    /// number, on anything else: another header, a number that is not one
+    /// whole finite token, static_ps <= 0, guard_ps < 0, raw <= 0, a key or
+    /// stage out of range, or a repeated (key, stage) entry.
     std::string serialize() const;
     static DelayTable deserialize(const std::string& text);
 
@@ -128,17 +107,13 @@ public:
 private:
     double static_period_ps_;
     double lut_guard_ps_;
-    /// Sticky raw-backed flag: true until the first legacy set().
-    bool has_raw_ = true;
-    std::array<std::array<double, sim::kStageCount>, kKeyCount> delays_{};
-    std::array<std::array<bool, sim::kStageCount>, kKeyCount> present_{};
     /// Raw characterized maxima (before the guard band); the scalable part
-    /// of each entry. Only maintained by set_characterized().
+    /// of each entry. set_characterized() rejects raw <= 0, so 0 marks an
+    /// uncharacterized entry.
     std::array<std::array<double, sim::kStageCount>, kKeyCount> raw_{};
-    /// Fallback-resolved view of the table: the characterized delay where
-    /// present, the static period otherwise. Maintained by set() /
-    /// set_characterized() so the per-cycle hot path is a plain load per
-    /// stage.
+    /// Fallback-resolved view of the table: the finished entry where
+    /// characterized, the static period otherwise, so the per-cycle hot
+    /// path is a plain load per stage.
     std::array<std::array<double, sim::kStageCount>, kKeyCount> effective_{};
 };
 

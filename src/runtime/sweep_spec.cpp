@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -21,13 +23,21 @@ double parse_double(const std::string& text) {
     try {
         std::size_t pos = 0;
         const double value = std::stod(text, &pos);
-        check(pos == text.size(), "trailing characters in number '" + text + "'");
+        if (pos != text.size()) throw Error("trailing characters in number '" + text + "'");
         return value;
     } catch (const std::invalid_argument&) {
         throw Error("malformed number '" + text + "' in sweep spec");
     } catch (const std::out_of_range&) {
         throw Error("number out of range '" + text + "' in sweep spec");
     }
+}
+
+/// An integer field in [min, INT_MAX]; nullopt when malformed or out of
+/// range (never narrowed).
+std::optional<int> parse_bounded_int(const std::string& text, int min) {
+    const auto n = parse_int(text);
+    if (!n || *n < min || *n > std::numeric_limits<int>::max()) return std::nullopt;
+    return static_cast<int>(*n);
 }
 
 std::vector<std::string> split_list(const std::string& value) {
@@ -63,22 +73,22 @@ GeneratorSpec GeneratorSpec::parse(const std::string& text) {
     if (text == "ideal") return spec;
     if (starts_with(text, "taps:")) {
         spec.kind = Kind::kQuantized;
-        const auto taps = parse_int(text.substr(5));
-        check(taps.has_value() && *taps >= 2, "generator '" + text + "': need taps:N with N >= 2");
-        spec.num_taps = static_cast<int>(*taps);
+        const auto taps = parse_bounded_int(text.substr(5), 2);
+        if (!taps) throw Error("generator '" + text + "': need taps:N with 2 <= N <= INT_MAX");
+        spec.num_taps = *taps;
         return spec;
     }
     if (starts_with(text, "pll:")) {
         const auto parts = split(text.substr(4), ':');
-        check(parts.size() == 2, "generator '" + text + "': want pll:P1/P2/...:DWELL");
+        if (parts.size() != 2) throw Error("generator '" + text + "': want pll:P1/P2/...:DWELL");
         spec.kind = Kind::kPllBank;
         for (const auto& period : split(parts[0], '/')) {
             spec.periods_ps.push_back(parse_double(period));
         }
-        check(!spec.periods_ps.empty(), "generator '" + text + "': no PLL periods");
-        const auto dwell = parse_int(parts[1]);
-        check(dwell.has_value() && *dwell >= 0, "generator '" + text + "': bad dwell");
-        spec.min_dwell_cycles = static_cast<int>(*dwell);
+        if (spec.periods_ps.empty()) throw Error("generator '" + text + "': no PLL periods");
+        const auto dwell = parse_bounded_int(parts[1], 0);
+        if (!dwell) throw Error("generator '" + text + "': bad dwell (want 0 <= DWELL <= INT_MAX)");
+        spec.min_dwell_cycles = *dwell;
         return spec;
     }
     throw Error("unknown generator '" + text + "' (ideal|taps:N|pll:P1/P2/...:DWELL)");
@@ -136,8 +146,9 @@ SweepSpec SweepSpec::parse(const std::string& text) {
         line = std::string(trim(line));
         if (line.empty()) continue;
         const auto eq = line.find('=');
-        check(eq != std::string::npos,
-              "sweep spec line " + std::to_string(line_no) + ": expected 'key = value'");
+        if (eq == std::string::npos) {
+            throw Error("sweep spec line " + std::to_string(line_no) + ": expected 'key = value'");
+        }
         const std::string key = std::string(trim(line.substr(0, eq)));
         const std::string value = std::string(trim(line.substr(eq + 1)));
         if (key == "kernels") {
@@ -175,13 +186,13 @@ SweepSpec SweepSpec::parse(const std::string& text) {
                 throw Error("bad guard_ps '" + value + "' (want a finite number >= 0)");
             }
         } else if (key == "min_occurrences") {
-            const auto n = parse_int(value);
-            check(n.has_value() && *n >= 0, "bad min_occurrences '" + value + "'");
-            spec.min_occurrences = static_cast<int>(*n);
+            const auto n = parse_bounded_int(value, 0);
+            if (!n) throw Error("bad min_occurrences '" + value + "' (want 0 <= N <= INT_MAX)");
+            spec.min_occurrences = *n;
         } else if (key == "jobs") {
-            const auto n = parse_int(value);
-            check(n.has_value() && *n >= 0, "bad jobs '" + value + "'");
-            spec.jobs = static_cast<int>(*n);
+            const auto n = parse_bounded_int(value, 0);
+            if (!n) throw Error("bad jobs '" + value + "' (want 0 <= N <= INT_MAX)");
+            spec.jobs = *n;
         } else {
             throw Error("unknown sweep spec key '" + key + "'");
         }

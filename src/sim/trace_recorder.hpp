@@ -30,9 +30,9 @@ namespace focs::sim {
 /// any clocking scheme without stepping the machine again. Immutable after
 /// recording; safe to share read-only across replay worker threads.
 struct PipelineTrace {
-    /// Canonical per-cycle records (AoS). Consumed by the per-(trace,
-    /// voltage) required-period computation and by the virtual-policy
-    /// replay fallback.
+    /// Canonical per-cycle records (AoS). Consumed only by the unit-delay
+    /// pass (and the per-voltage reference pass that tests and the bench
+    /// compare it against); replay reads the SoA keys below.
     std::vector<CycleRecord> records;
     /// Stage-major SoA occupancy keys: stage_keys[s][c] is the delay-table
     /// row charged to stage s in cycle c (attribution_keys pre-applied, so

@@ -28,20 +28,21 @@ TEST(DelayTable, FallbackToStatic) {
     DelayTable table(2026.0);
     EXPECT_FALSE(table.characterized(0, Stage::kEx));
     EXPECT_DOUBLE_EQ(table.lookup(0, Stage::kEx), 2026.0);
-    table.set(0, Stage::kEx, 1467.0);
+    table.set_characterized(0, Stage::kEx, 1467.0);
     EXPECT_TRUE(table.characterized(0, Stage::kEx));
     EXPECT_DOUBLE_EQ(table.lookup(0, Stage::kEx), 1467.0);
 }
 
 TEST(DelayTable, CyclePeriodIsMaxOverStages) {
     DelayTable table(2026.0);
-    std::array<OccKey, sim::kStageCount> keys{};
-    keys.fill(static_cast<OccKey>(isa::Opcode::kAdd));
+    sim::CycleRecord record;
     for (int s = 0; s < sim::kStageCount; ++s) {
-        table.set(static_cast<OccKey>(isa::Opcode::kAdd), static_cast<Stage>(s),
-                  800.0 + 100.0 * s);
+        record.stages[static_cast<std::size_t>(s)].valid = true;
+        record.stages[static_cast<std::size_t>(s)].inst.opcode = isa::Opcode::kAdd;
+        table.set_characterized(static_cast<OccKey>(isa::Opcode::kAdd), static_cast<Stage>(s),
+                                800.0 + 100.0 * s);
     }
-    EXPECT_DOUBLE_EQ(table.cycle_period_ps(keys), 800.0 + 100.0 * (sim::kStageCount - 1));
+    EXPECT_DOUBLE_EQ(table.cycle_period_ps(record), 800.0 + 100.0 * (sim::kStageCount - 1));
 }
 
 TEST(DelayTable, ScaledByOneIsIdentity) {
@@ -53,7 +54,6 @@ TEST(DelayTable, ScaledByOneIsIdentity) {
     const DelayTable view = table.scaled(1.0);
     EXPECT_EQ(view.static_period_ps(), table.static_period_ps());
     EXPECT_EQ(view.lut_guard_ps(), table.lut_guard_ps());
-    EXPECT_TRUE(view.has_raw());
     for (int key = 0; key < kKeyCount; ++key) {
         for (int stage = 0; stage < sim::kStageCount; ++stage) {
             const auto k = static_cast<OccKey>(key);
@@ -104,36 +104,54 @@ TEST(DelayTable, ScaledReappliesStaticClampAtBandBoundary) {
     EXPECT_EQ(down.lookup(static_cast<OccKey>(isa::Opcode::kAdd), Stage::kEx), 500.0);
 }
 
-TEST(DelayTable, LegacySetFallsBackToFinishedEntryScaling) {
-    // A manual set() abandons the raw/guard split for good: scaled() then
-    // multiplies finished entries (the pre-split semantics).
-    DelayTable table(2000.0, 50.0);
-    table.set_characterized(static_cast<OccKey>(isa::Opcode::kAdd), Stage::kEx, 900.0);
-    EXPECT_TRUE(table.has_raw());
-    table.set(static_cast<OccKey>(isa::Opcode::kMul), Stage::kEx, 1200.0);
-    EXPECT_FALSE(table.has_raw());
-    const DelayTable view = table.scaled(2.0);
-    EXPECT_FALSE(view.has_raw());
-    // Finished entry 900 + 50 = 950 doubles wholesale (guard band included).
-    EXPECT_EQ(view.lookup(static_cast<OccKey>(isa::Opcode::kAdd), Stage::kEx), 1900.0);
-    EXPECT_EQ(view.lookup(static_cast<OccKey>(isa::Opcode::kMul), Stage::kEx), 2400.0);
-}
-
 TEST(DelayTable, SerializeRoundTrip) {
-    DelayTable table(2026.0);
-    table.set(static_cast<OccKey>(isa::Opcode::kMul), Stage::kEx, 1899.25);
-    table.set(kKeyBubble, Stage::kAdr, 612.5);
-    const DelayTable copy = DelayTable::deserialize(table.serialize());
-    EXPECT_DOUBLE_EQ(copy.static_period_ps(), 2026.0);
-    EXPECT_NEAR(copy.lookup(static_cast<OccKey>(isa::Opcode::kMul), Stage::kEx), 1899.25, 1e-3);
-    EXPECT_NEAR(copy.lookup(kKeyBubble, Stage::kAdr), 612.5, 1e-3);
+    // The v2 text keeps every raw maximum at full precision: a round trip
+    // reproduces the file byte for byte and every entry bit for bit.
+    DelayTable table(2026.0, 12.5);
+    table.set_characterized(static_cast<OccKey>(isa::Opcode::kMul), Stage::kEx, 5000.0 / 3.0);
+    table.set_characterized(kKeyBubble, Stage::kAdr, 612.5);
+    const std::string text = table.serialize();
+    const DelayTable copy = DelayTable::deserialize(text);
+    EXPECT_EQ(copy.serialize(), text);
+    EXPECT_EQ(copy.lookup(static_cast<OccKey>(isa::Opcode::kMul), Stage::kEx),
+              table.lookup(static_cast<OccKey>(isa::Opcode::kMul), Stage::kEx));
+    EXPECT_EQ(copy.lookup(kKeyBubble, Stage::kAdr), 612.5 + 12.5);
     EXPECT_FALSE(copy.characterized(kKeyHeld, Stage::kWb));
 }
 
 TEST(DelayTable, DeserializeRejectsGarbage) {
-    EXPECT_THROW(DelayTable::deserialize("not a table\n"), ParseError);
-    EXPECT_THROW(DelayTable::deserialize("delay_table v1 static_ps=2026\n999 0 100\n"),
-                 ParseError);
+    // `--lut` files come from outside the program: every defect is a
+    // ParseError naming its line, never an internal check that leaks a
+    // source path, a bare "stod", or a silently accepted value.
+    const auto rejects = [](const std::string& text, const std::string& line) {
+        SCOPED_TRACE(text);
+        try {
+            DelayTable::deserialize(text);
+            ADD_FAILURE() << "accepted";
+        } catch (const ParseError& error) {
+            const std::string what = error.what();
+            EXPECT_EQ(what.rfind(line + ":", 0), 0u) << what;
+            EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+        }
+    };
+    const std::string header = "delay_table v2 static_ps=2026 guard_ps=0\n";
+    rejects("not a table\n", "line 1");
+    rejects("delay_table v1 static_ps=2026\n", "line 1");
+    rejects("delay_table v1 static_ps=2026\n3 2 100\n", "line 1");
+    rejects("delay_table v2 static_ps=abc guard_ps=0\n", "line 1");
+    rejects("delay_table v2 static_ps=nan guard_ps=0\n", "line 1");
+    rejects("delay_table v2 static_ps=0 guard_ps=0\n", "line 1");
+    rejects("delay_table v2 static_ps=2026 guard_ps=-4\n", "line 1");
+    rejects("delay_table v2 static_ps=2026 guard_ps=inf\n", "line 1");
+    rejects("delay_table v2 static_ps=2026x guard_ps=0\n", "line 1");
+    rejects(header + "999 0 100\n", "line 2");
+    rejects(header + "3 2\n", "line 2");
+    rejects(header + "3 2 100\n3 2 xyz\n", "line 3");
+    rejects(header + "3 2 1e400\n", "line 2");
+    rejects(header + "3 2 0\n", "line 2");
+    rejects(header + "3 2 -5\n", "line 2");
+    rejects(header + "3 2 100\n\n3 2 100\n", "line 4");
+    EXPECT_NO_THROW(DelayTable::deserialize(header + "3 2 100\n3 3 100\n"));
 }
 
 TEST(Keys, BubbleHeldAndRedirectAttribution) {

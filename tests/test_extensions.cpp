@@ -112,7 +112,7 @@ TEST(PvtDrift, SpeedupIsVoltageInvariantWithUpdatedLut) {
 
 TEST(ScaledTable, EntriesAndFallbackScale) {
     dta::DelayTable table(2000.0);
-    table.set(3, sim::Stage::kEx, 1500.0);
+    table.set_characterized(3, sim::Stage::kEx, 1500.0);
     const dta::DelayTable scaled = table.scaled(1.25);
     EXPECT_DOUBLE_EQ(scaled.static_period_ps(), 2500.0);
     EXPECT_DOUBLE_EQ(scaled.lookup(3, sim::Stage::kEx), 1875.0);

@@ -1,10 +1,9 @@
 // Record/replay correctness: a replayed evaluation must be byte-identical
 // to a live DcaEngine::run of the same cell — for every bundled PolicyKind,
-// every clock-generator family, at every replay block size (including odd
-// boundaries), and through the generic virtual-policy fallback. The
-// voltage-invariance contract is tested explicitly: one fused unit delay
-// pass per trace must serve every operating point bit-identically to the
-// per-voltage reference pass.
+// every clock-generator family and at every replay block size (including
+// odd boundaries). The voltage-invariance contract is tested explicitly:
+// one fused unit delay pass per trace must serve every operating point
+// bit-identically to the per-voltage reference pass.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -143,57 +143,6 @@ TEST(Replay, BlockBoundariesDoNotChangeResults) {
             expect_identical(reference.run(kind, generator_a.get()),
                              engine.run(kind, generator_b.get()));
         }
-    }
-}
-
-TEST(Replay, GenericFallbackMatchesLiveForCustomPolicy) {
-    const ReplayFixture& f = fixture();
-    // A policy instance outside the promoted grid points (a non-default
-    // approx scale) exercises DcaEngine::replay, the virtual-dispatch
-    // fallback over the recorded CycleRecords.
-    ApproximateLutPolicy live_policy(f.table, 0.92);
-    ApproximateLutPolicy replay_policy(f.table, 0.92);
-    DcaEngine engine(f.design);
-    const DcaRunResult live = engine.run(f.program, live_policy);
-    const DcaRunResult replayed = engine.replay(f.trace, replay_policy);
-    expect_identical(live, replayed);
-    // The 0.92 scale must actually provoke violations, or this proves less
-    // than it claims about the violation accounting.
-    EXPECT_GT(live.timing_violations, 0u);
-}
-
-TEST(Replay, SharedGroundTruthFallbackMatchesEvaluatingFallback) {
-    // The ScaledTraceDelays overload of DcaEngine::replay derives the per-
-    // cycle requirement from the shared unit array instead of re-running
-    // the delay model; for policies honouring the PolicyContext contract
-    // (actual is the genie's channel) it must reproduce the evaluating
-    // fallback's bytes.
-    const ReplayFixture& f = fixture();
-    DcaEngine engine(f.design);
-    ApproximateLutPolicy evaluating(f.table, 0.92);
-    ApproximateLutPolicy shared(f.table, 0.92);
-    expect_identical(engine.replay(f.trace, evaluating),
-                     engine.replay(f.trace, f.delays, shared));
-
-    GenieOraclePolicy genie_a;
-    GenieOraclePolicy genie_b;
-    auto generator_a = make_generator(2, f.delays.static_period_ps);
-    auto generator_b = make_generator(2, f.delays.static_period_ps);
-    expect_identical(engine.replay(f.trace, genie_a, *generator_a),
-                     engine.replay(f.trace, f.delays, genie_b, *generator_b));
-}
-
-TEST(Replay, GenericFallbackMatchesDevirtualizedKernels) {
-    const ReplayFixture& f = fixture();
-    const ReplayEvaluationEngine engine(f.trace, f.delays, f.table);
-    DcaEngine dca(f.design);
-    for (const PolicyKind kind : kAllKinds) {
-        SCOPED_TRACE(policy_kind_name(kind));
-        const auto policy = make_policy(kind, f.table, f.delays.static_period_ps);
-        auto generator_a = make_generator(1, f.delays.static_period_ps);
-        auto generator_b = make_generator(1, f.delays.static_period_ps);
-        expect_identical(dca.replay(f.trace, *policy, *generator_a),
-                         engine.run(kind, generator_b.get()));
     }
 }
 
@@ -441,42 +390,46 @@ TEST(Replay, ScalarReferenceAndSimdKernelsAreByteIdentical) {
     }
 }
 
-TEST(Replay, TwoClassOverLegacyTableFallsBackToSlowFlags) {
-    // The two-class mask kernel is exact only while slow >= fast. A legacy
-    // set() table is not clamped to the static period, so a fast-class
-    // entry above it makes the fast period exceed the slow (static) one;
-    // the engine must then select on gathered 0/1 slow flags instead, and
-    // still reproduce the live run on every kernel table, generator family
-    // and block size.
+TEST(Replay, ClassSelectMatchesLiveWithAClampedFastEntry) {
+    // The class-select mask kernel is exact while slow >= fast >= 0. A v2
+    // table whose fast-class entry has raw + guard above the static period
+    // is clamped to it, so two-class's fast period meets its slow (static)
+    // period and dual-cycle's fast period sits at static: the boundary of
+    // that invariant. Two-class and dual-cycle replay must still reproduce
+    // the live run on both kernel tables, every generator family and every
+    // block size.
     const ReplayFixture& f = fixture();
     const double static_period = f.table.static_period_ps();
-    dta::DelayTable legacy(static_period);
-    for (dta::OccKey key = 0; key < dta::kKeyCount; ++key) {
-        for (int s = 0; s < sim::kStageCount; ++s) {
-            const auto stage = static_cast<sim::Stage>(s);
-            if (f.table.characterized(key, stage)) {
-                legacy.set(key, stage, f.table.lookup(key, stage));
-            }
-        }
+    const auto add = static_cast<dta::OccKey>(isa::Opcode::kAdd);
+    const std::string add_ex =
+        std::to_string(add) + " " + std::to_string(static_cast<int>(sim::Stage::kEx)) + " ";
+    std::string text;
+    std::istringstream lines(f.table.serialize());
+    for (std::string line; std::getline(lines, line);) {
+        if (!line.starts_with(add_ex)) text += line + "\n";
     }
-    legacy.set(static_cast<dta::OccKey>(isa::Opcode::kAdd), sim::Stage::kEx,
-               1.5 * static_period);
-    ASSERT_GT(TwoClassPolicy(legacy).fast_period_ps(), static_period);
+    text += add_ex + std::to_string(1.5 * static_period) + "\n";
+    const dta::DelayTable clamped = dta::DelayTable::deserialize(text);
+    ASSERT_EQ(clamped.lookup(add, sim::Stage::kEx), static_period);
+    ASSERT_EQ(TwoClassPolicy(clamped).fast_period_ps(), static_period);
 
-    for (const int block : {1, 7, 4096}) {
-        for (const bool force_scalar : {false, true}) {
-            ReplayOptions options;
-            options.block_cycles = block;
-            options.force_scalar = force_scalar;
-            const ReplayEvaluationEngine engine(f.trace, f.delays, legacy, options);
-            for (int which = 0; which < 3; ++which) {
-                SCOPED_TRACE("block=" + std::to_string(block) + " scalar=" +
-                             std::to_string(force_scalar) + " generator" + std::to_string(which));
-                auto live_generator = make_generator(which, f.delays.static_period_ps);
-                auto replay_generator = make_generator(which, f.delays.static_period_ps);
-                expect_identical(evaluate_cell(f.design, legacy, f.program, PolicyKind::kTwoClass,
-                                               live_generator.get()),
-                                 engine.run(PolicyKind::kTwoClass, replay_generator.get()));
+    for (const PolicyKind kind : {PolicyKind::kTwoClass, PolicyKind::kDualCycle}) {
+        for (int which = 0; which < 3; ++which) {
+            auto live_generator = make_generator(which, f.delays.static_period_ps);
+            const DcaRunResult live =
+                evaluate_cell(f.design, clamped, f.program, kind, live_generator.get());
+            for (const int block : {1, 7, 4096}) {
+                for (const bool force_scalar : {false, true}) {
+                    SCOPED_TRACE(policy_kind_name(kind) + " block=" + std::to_string(block) +
+                                 " scalar=" + std::to_string(force_scalar) + " generator" +
+                                 std::to_string(which));
+                    ReplayOptions options;
+                    options.block_cycles = block;
+                    options.force_scalar = force_scalar;
+                    const ReplayEvaluationEngine engine(f.trace, f.delays, clamped, options);
+                    auto replay_generator = make_generator(which, f.delays.static_period_ps);
+                    expect_identical(live, engine.run(kind, replay_generator.get()));
+                }
             }
         }
     }

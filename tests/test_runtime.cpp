@@ -758,26 +758,47 @@ TEST(SweepSpec, ParseSerializeRoundTrip) {
 }
 
 TEST(SweepSpec, RejectsBadInput) {
-    EXPECT_THROW(SweepSpec::parse("nonsense\n"), Error);
-    EXPECT_THROW(SweepSpec::parse("policies = warp-drive\n"), Error);
-    EXPECT_THROW(SweepSpec::parse("generators = taps:1\n"), Error);
-    EXPECT_THROW(GeneratorSpec::parse("pll:"), Error);
-    EXPECT_THROW(SweepSpec::parse("jobs = -2\n"), Error);
-    EXPECT_THROW(SweepSpec::parse("voltages = 0.7, oops\n"), Error);
-    EXPECT_THROW(SweepSpec::parse("voltages = 0.7 0.8\n"), Error);  // missing comma
-    EXPECT_THROW(SweepSpec::parse("guard_ps = many\n"), Error);
+    // Every rejection is a usage Error about the input, never an internal
+    // check() whose message leaks the build's source path.
+    const auto rejects = [](const std::string& text) {
+        SCOPED_TRACE(text);
+        try {
+            SweepSpec::parse(text);
+            ADD_FAILURE() << "accepted";
+        } catch (const Error& error) {
+            EXPECT_EQ(std::string(error.what()).find(".cpp:"), std::string::npos)
+                << error.what();
+        }
+    };
+    rejects("nonsense\n");
+    rejects("policies = warp-drive\n");
+    rejects("policies = dual-cycle:0.5\n");
+    rejects("generators = taps:1\n");
+    rejects("generators = pll:\n");
+    rejects("jobs = -2\n");
+    rejects("voltages = 0.7, oops\n");
+    rejects("voltages = 0.7 0.8\n");  // missing comma
+    rejects("voltages = 0.7x\n");
+    rejects("guard_ps = many\n");
     // Invalid guard bands and voltages fail at parse time instead of
     // quietly becoming the default guard or dying after the whole grid ran.
-    EXPECT_THROW(SweepSpec::parse("guard_ps = -5\n"), Error);
-    EXPECT_THROW(SweepSpec::parse("guard_ps = nan\n"), Error);
-    EXPECT_THROW(SweepSpec::parse("guard_ps = inf\n"), Error);
-    EXPECT_THROW(SweepSpec::parse("voltages = nan\n"), Error);
-    EXPECT_THROW(SweepSpec::parse("voltages = 0.7, inf\n"), Error);
-    EXPECT_THROW(SweepSpec::parse("voltages = 0\n"), Error);
-    EXPECT_THROW(SweepSpec::parse("voltages = -0.7\n"), Error);
+    rejects("guard_ps = -5\n");
+    rejects("guard_ps = nan\n");
+    rejects("guard_ps = inf\n");
+    rejects("voltages = nan\n");
+    rejects("voltages = 0.7, inf\n");
+    rejects("voltages = 0\n");
+    rejects("voltages = -0.7\n");
     EXPECT_NO_THROW(SweepSpec::parse("guard_ps = 0\nvoltages = 0.6999996\n"));
-    EXPECT_THROW(SweepSpec::parse("variant = quantum\n"), Error);
-    EXPECT_THROW(SweepSpec::parse("min_occurrences = -3\n"), Error);
+    rejects("variant = quantum\n");
+    rejects("min_occurrences = -3\n");
+    // Integers above INT_MAX are rejected, never narrowed (4294967298
+    // would otherwise run as taps:2, 4294967297 as a floor of 1).
+    rejects("generators = taps:4294967298\n");
+    rejects("generators = pll:1000/2000:4294967296\n");
+    rejects("min_occurrences = 4294967297\n");
+    rejects("jobs = 4294967296\n");
+    EXPECT_EQ(SweepSpec::parse("min_occurrences = 2147483647\n").min_occurrences, 2147483647);
 }
 
 TEST(SweepSpec, ResolvedFillsDefaults) {
