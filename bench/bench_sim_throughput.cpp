@@ -70,6 +70,24 @@ const assembler::Program& coremark_program() {
     return program;
 }
 
+/// Every CycleRecord of one coremark run: the input of the per-voltage
+/// reference pass (timing::compute_trace_delays). Traces keep only their
+/// occupancy keys, so the records are collected here.
+const std::vector<sim::CycleRecord>& coremark_records() {
+    struct Collector final : sim::PipelineObserver {
+        std::vector<sim::CycleRecord> records;
+        void on_cycle(const sim::CycleRecord& record) override { records.push_back(record); }
+    };
+    static const std::vector<sim::CycleRecord> records = [] {
+        sim::Machine machine;
+        machine.load(coremark_program());
+        Collector collector;
+        machine.run(&collector);
+        return std::move(collector.records);
+    }();
+    return records;
+}
+
 const std::vector<assembler::Program>& characterization_programs() {
     static const std::vector<assembler::Program> programs =
         workloads::assemble_programs(workloads::characterization_suite());
@@ -132,7 +150,7 @@ void BM_ReplayCellLut(benchmark::State& state) {
         core::CharacterizationFlow(design).run(characterization_programs()).table;
     static const sim::PipelineTrace trace = sim::record_trace(coremark_program());
     static const auto unit = std::make_shared<const timing::UnitTraceDelays>(
-        timing::compute_unit_trace_delays(timing::DelayCalculator(design), trace.records));
+        timing::record_unit_trace_delays(timing::DelayCalculator(design), coremark_program()));
     const core::ReplayEvaluationEngine engine(
         trace, timing::scale_trace_delays(unit, timing::DelayCalculator(design)), table);
     std::uint64_t cycles = 0;
@@ -156,7 +174,7 @@ void BM_ReplayCellLutScalar(benchmark::State& state) {
         core::CharacterizationFlow(design).run(characterization_programs()).table;
     static const sim::PipelineTrace trace = sim::record_trace(coremark_program());
     static const auto unit = std::make_shared<const timing::UnitTraceDelays>(
-        timing::compute_unit_trace_delays(timing::DelayCalculator(design), trace.records));
+        timing::record_unit_trace_delays(timing::DelayCalculator(design), coremark_program()));
     core::ReplayOptions options;
     options.force_scalar = true;
     const core::ReplayEvaluationEngine engine(
@@ -185,7 +203,7 @@ void BM_ReplayCellLutObs(benchmark::State& state) {
         core::CharacterizationFlow(design).run(characterization_programs()).table;
     static const sim::PipelineTrace trace = sim::record_trace(coremark_program());
     static const auto unit = std::make_shared<const timing::UnitTraceDelays>(
-        timing::compute_unit_trace_delays(timing::DelayCalculator(design), trace.records));
+        timing::record_unit_trace_delays(timing::DelayCalculator(design), coremark_program()));
     core::ReplayOptions options;
     switch (state.range(0)) {
         case 0: options.obs = core::ReplayObsMode::kForceOff; break;
@@ -428,7 +446,7 @@ void emit_artifact() {
     // kernel against a ScaledTraceDelays view.
     const sim::PipelineTrace trace = sim::record_trace(coremark_program());
     const auto unit_delays = std::make_shared<const timing::UnitTraceDelays>(
-        timing::compute_unit_trace_delays(timing::DelayCalculator(design), trace.records));
+        timing::record_unit_trace_delays(timing::DelayCalculator(design), coremark_program()));
     const core::ReplayEvaluationEngine replay_engine(
         trace, timing::scale_trace_delays(unit_delays, timing::DelayCalculator(design)), table);
     const TimedRun replay = timed_cycles(200, [&] {
@@ -629,7 +647,7 @@ void emit_artifact() {
 
     // Voltage-axis amortization, measured two ways. (a) The delay passes
     // themselves: V reference passes (one per operating point, the pre-v4
-    // cost) against one fused unit pass serving the same V points as
+    // cost) against one unit pass serving the same V points as
     // scalar-multiplied views. (b) A voltage-dense replay sweep (full
     // suite x lut x 10 voltages) whose cache counters prove one pass per
     // kernel; tables are pre-seeded per point via DelayTable::scaled so
@@ -640,22 +658,28 @@ void emit_artifact() {
     double per_voltage_passes_ms = 0;
     double unit_pass_ms = 0;
     {
+        const std::vector<sim::CycleRecord>& records = coremark_records();
         const auto t0 = std::chrono::steady_clock::now();
         for (const double voltage : kAxisVoltages) {
             timing::DesignConfig point = design;
             point.voltage_v = voltage;
-            const auto delays = timing::compute_trace_delays(timing::DelayCalculator(point),
-                                                             trace.records);
+            const auto delays =
+                timing::compute_trace_delays(timing::DelayCalculator(point), records);
             benchmark::DoNotOptimize(delays.required_period_ps.data());
         }
         const auto t1 = std::chrono::steady_clock::now();
         for (int i = 0; i < kAxisPoints; ++i) {
-            // One fused pass; the per-voltage views are scalar derivations
-            // (their cost is the one multiply per cycle already inside the
-            // replay kernels). Run it V times so both sides time V pieces
-            // of work and the ratio reads directly as the per-axis win.
-            const auto unit_axis =
-                timing::compute_unit_trace_delays(timing::DelayCalculator(design), trace.records);
+            // One unit pass over the same records, cycle by cycle as the
+            // production build streams it from its guest run (the guest
+            // run itself is not timed, as on the reference side); the
+            // per-voltage views are scalar derivations (their cost is the
+            // one multiply per cycle already inside the replay kernels).
+            // Run it V times so both sides time V pieces of work and the
+            // ratio reads directly as the per-axis win.
+            const timing::DelayCalculator calculator(design);
+            timing::UnitDelayRecorder recorder(calculator);
+            for (const sim::CycleRecord& record : records) recorder.on_cycle(record);
+            const auto unit_axis = recorder.take();
             benchmark::DoNotOptimize(unit_axis.unit_required_period_ps.data());
         }
         const auto t2 = std::chrono::steady_clock::now();
@@ -937,8 +961,8 @@ void emit_artifact() {
     out += "  \"voltage_axis\": {\n";
     out += "    \"note\": " +
            json_string("voltage-invariant trace delays: (a) delay passes over the recorded "
-                       "coremark trace — 10 per-voltage reference passes vs one fused unit "
-                       "pass whose scaled views serve the same 10 points; (b) a replay sweep "
+                       "coremark trace — 10 per-voltage reference passes vs one cycle-major "
+                       "unit pass whose scaled views serve the same 10 points; (b) a replay sweep "
                        "of the full suite x lut x 10 voltages with pre-scaled delay tables, "
                        "fresh cache per run, min of 2 — the counters prove one delay-model "
                        "pass per kernel for the whole axis") +

@@ -3,8 +3,9 @@
 //
 //   1. Record the canonical trace of a kernel (one cycle-accurate run).
 //   2. Compute the *voltage-free* unit delay array once per trace (one
-//      fused stage-major pass); every operating point is a ScaledTraceDelays
-//      view — the shared array plus one delay-scale scalar.
+//      more guest run streamed through the delay model, cycle by cycle);
+//      every operating point is a ScaledTraceDelays view — the shared array
+//      plus one delay-scale scalar.
 //   3. Replay every bundled policy — including the promoted approx-lut and
 //      dual-cycle kinds and a parameterized approx-lut:0.92 — against the
 //      same trace; each result is byte-identical to a live DcaEngine::run
@@ -39,7 +40,7 @@ int main() {
 
     // -- 2. One voltage-free delay pass, views for every operating point -----
     const auto unit = std::make_shared<const timing::UnitTraceDelays>(
-        timing::compute_unit_trace_delays(timing::DelayCalculator(design), trace.records));
+        timing::record_unit_trace_delays(timing::DelayCalculator(design), program));
     const timing::ScaledTraceDelays delays =
         timing::scale_trace_delays(unit, timing::DelayCalculator(design));
     // The same unit array serves any other voltage as a one-scalar view:

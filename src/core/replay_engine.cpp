@@ -41,7 +41,7 @@ ReplayEvaluationEngine::ReplayEvaluationEngine(const sim::PipelineTrace& trace,
 
 std::size_t ReplayEvaluationEngine::scratch_cycles() const {
     return std::min<std::size_t>(static_cast<std::size_t>(options_.block_cycles),
-                                 std::max<std::size_t>(trace_->records.size(), 1));
+                                 std::max<std::size_t>(trace_->cycles(), 1));
 }
 
 DcaRunResult ReplayEvaluationEngine::run(const PolicySpec& spec,
@@ -219,7 +219,7 @@ std::vector<DcaRunResult> ReplayEvaluationEngine::run_fused(
     // time-integral adds. Same figures as fill-then-reduce.
     const bool fused_ideal = pure_gather && variants.size() == 1 && !any_stateful;
 
-    const std::size_t cycles = trace_->records.size();
+    const std::size_t cycles = trace_->cycles();
     const std::size_t block = static_cast<std::size_t>(options_.block_cycles);
     std::vector<double> requested(scratch_cycles());
     std::vector<double> granted(any_stateful ? scratch_cycles() : 0);

@@ -444,7 +444,8 @@ ArtifactCache::unit_trace_delays(const std::string& kernel, const timing::Design
                                  const sim::MachineConfig& machine_config) {
     // Voltage-free key: the unit pass depends on the trace, the variant's
     // calibration bands and the jitter seed only, so every voltage point of
-    // a sweep resolves to the same entry.
+    // a sweep resolves to the same entry. The build steps its own guest run
+    // rather than reading the trace entry, which keeps no CycleRecords.
     char design_part[64];
     std::snprintf(design_part, sizeof design_part, "@u%d:%llu",
                   static_cast<int>(design.variant),
@@ -469,10 +470,11 @@ ArtifactCache::unit_trace_delays(const std::string& kernel, const timing::Design
     span.arg("key", key);
     run_build(ArtifactClass::kUnitDelays, key, unit_delays_, promise,
               [&]() -> std::shared_ptr<const timing::UnitTraceDelays> {
-                  const auto trace = this->trace(kernel, machine_config);
+                  const auto program = this->program(kernel);
                   const timing::DelayCalculator calculator(design);
                   return std::make_shared<const timing::UnitTraceDelays>(
-                      timing::compute_unit_trace_delays(calculator, trace.get().records));
+                      timing::record_unit_trace_delays(calculator, program.get(),
+                                                       machine_config));
               });
     metrics_.observe(ids(ArtifactClass::kUnitDelays).build_ms, ms_since(start));
     return future;

@@ -175,12 +175,14 @@ public:
     std::shared_future<sim::PipelineTrace> trace(const std::string& kernel,
                                                  const sim::MachineConfig& machine_config = {});
 
-    /// Voltage-free required-period ground truth of one trace: one fused
-    /// unit pass per (kernel, design variant, seed, machine config),
+    /// Voltage-free required-period ground truth of one trace: one unit
+    /// pass per (kernel, design variant, seed, machine config),
     /// keyed *without* the voltage — every operating point on the voltage
     /// axis derives its ScaledTraceDelays view from this shared array
     /// (timing::scale_trace_delays), so a V-point grid pays one delay-model
-    /// pass instead of V. `design.voltage_v` is ignored.
+    /// pass instead of V. `design.voltage_v` is ignored. The pass steps
+    /// its own guest run of the kernel's program (the trace entry keeps no
+    /// per-cycle records), so it neither requests nor waits on trace().
     std::shared_future<std::shared_ptr<const timing::UnitTraceDelays>> unit_trace_delays(
         const std::string& kernel, const timing::DesignConfig& design,
         const sim::MachineConfig& machine_config = {});
@@ -215,9 +217,9 @@ public:
     /// policy/generator/voltage cells consume the trace.
     std::uint64_t traces_recorded() const;
 
-    /// Fused unit delay passes executed (not cache hits): exactly one per
-    /// distinct (kernel, design variant, seed, machine config), independent
-    /// of how many voltage points consume the array.
+    /// Unit delay passes executed (not cache hits), each one guest run:
+    /// exactly one per distinct (kernel, design variant, seed, machine
+    /// config), independent of how many voltage points consume the array.
     std::uint64_t unit_delay_passes() const;
 
     /// Requests for a unit delay artifact answered from an already-present

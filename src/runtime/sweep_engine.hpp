@@ -39,13 +39,14 @@
 //
 // Two execution modes produce byte-identical cells:
 //  - kReplay (default): record-once / replay-many. Each (kernel, machine
-//    config) is simulated exactly once into a cached PipelineTrace and its
-//    voltage-free unit delay array is computed in one fused pass; every
-//    policy x generator x voltage cell over that kernel is then scored by
-//    the batched SoA ReplayEvaluationEngine against a ScaledTraceDelays
-//    view (the shared unit array plus the point's delay scale). A P-policy
-//    x G-generator x V-voltage column costs one guest simulation and one
-//    delay-model pass instead of P*G (and P*G*V delay passes).
+//    config) is simulated exactly once into a cached PipelineTrace, and
+//    once more per design variant to stream its voltage-free unit delay
+//    array; every policy x generator x voltage cell over that kernel is
+//    then scored by the batched SoA ReplayEvaluationEngine against a
+//    ScaledTraceDelays view (the shared unit array plus the point's delay
+//    scale). A P-policy x G-generator x V-voltage column costs two guest
+//    simulations and one delay-model pass instead of P*G (and P*G*V delay
+//    passes).
 //  - kLive: the reference path; every cell steps the full delay-annotated
 //    cycle-accurate pipeline (DcaEngine::run).
 //
@@ -199,12 +200,15 @@ struct SweepResult {
     std::uint64_t cache_hits = 0;
     /// Guest simulations this sweep paid for its cells: traces recorded in
     /// replay mode (exactly one per (kernel, machine config) on a cold
-    /// cache), one per cell in live mode. Characterization guest runs are
-    /// tracked separately via `characterizations`.
+    /// cache), one per cell in live mode. Each unit-delay pass also steps
+    /// the guest once; those runs are counted by `unit_delay_passes`, not
+    /// here. Characterization guest runs are tracked separately via
+    /// `characterizations`.
     std::uint64_t guest_simulations = 0;
-    /// Fused voltage-free delay-model passes this sweep executed: exactly
-    /// one per (kernel, design variant) on a cold cache in replay mode,
-    /// independent of the voltage-axis width. 0 in live mode.
+    /// Voltage-free delay-model passes this sweep executed, each streamed
+    /// from its own guest run: exactly one per (kernel, design variant) on
+    /// a cold cache in replay mode, independent of the voltage-axis width.
+    /// 0 in live mode.
     std::uint64_t unit_delay_passes = 0;
     /// Replay cells served a ScaledTraceDelays view from an already-present
     /// unit array (the per-voltage/per-cell reuse count of the shared

@@ -2,13 +2,7 @@
 
 namespace focs::sim {
 
-void TraceRecorder::reserve(std::size_t cycles) {
-    trace_.records.reserve(cycles);
-    for (auto& row : trace_.stage_keys) row.reserve(cycles);
-}
-
 void TraceRecorder::on_cycle(const CycleRecord& record) {
-    trace_.records.push_back(record);
     const auto keys = dta::attribution_keys(record);
     for (int s = 0; s < kStageCount; ++s) {
         trace_.stage_keys[static_cast<std::size_t>(s)].push_back(

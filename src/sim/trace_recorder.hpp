@@ -4,10 +4,12 @@
 // machine config) pair are invariant across every clocking scheme the
 // evaluation grid applies to it — only the granted period changes. A
 // TraceRecorder therefore captures one canonical run as a PipelineTrace:
-// the full per-cycle CycleRecord array (ground truth for delay evaluation
-// and for replaying arbitrary ClockPolicy objects) plus stage-major SoA
-// occupancy-key rows that let the replay engine's devirtualized policy
-// kernels walk whole trace blocks with one indexed load per (stage, cycle).
+// stage-major SoA occupancy-key rows (12 B per cycle) that let the replay
+// engine's devirtualized policy kernels walk whole trace blocks with one
+// indexed load per (stage, cycle), plus the guest's RunResult. The full
+// per-cycle CycleRecords are not kept: the one other consumer of them, the
+// voltage-free unit-delay pass, streams its own guest run through
+// timing::record_unit_trace_delays while each record is hot.
 //
 // Layering note: the occupancy-key domain (OccKey, attribution rules) is
 // owned by dta/delay_table; the trace pre-applies it at record time so
@@ -30,25 +32,20 @@ namespace focs::sim {
 /// any clocking scheme without stepping the machine again. Immutable after
 /// recording; safe to share read-only across replay worker threads.
 struct PipelineTrace {
-    /// Canonical per-cycle records (AoS). Consumed only by the unit-delay
-    /// pass (and the per-voltage reference pass that tests and the bench
-    /// compare it against); replay reads the SoA keys below.
-    std::vector<CycleRecord> records;
     /// Stage-major SoA occupancy keys: stage_keys[s][c] is the delay-table
     /// row charged to stage s in cycle c (attribution_keys pre-applied, so
-    /// ADR redirects and held dividers are already resolved).
+    /// ADR redirects and held dividers are already resolved). Every row
+    /// holds one key per recorded cycle.
     std::array<std::vector<dta::OccKey>, kStageCount> stage_keys;
     /// Guest-architectural outcome of the recorded run.
     RunResult guest;
 
-    std::uint64_t cycles() const { return static_cast<std::uint64_t>(records.size()); }
+    std::uint64_t cycles() const { return static_cast<std::uint64_t>(stage_keys[0].size()); }
 
-    /// Resident size for cache byte budgeting: the AoS record array plus
-    /// the stage-major SoA key rows (traces dominate the sweep runtime's
-    /// memory, so this is the figure LRU eviction is sized around).
+    /// Resident size for cache byte budgeting: the struct plus the
+    /// stage-major key rows — the figure LRU eviction charges a trace.
     std::uint64_t estimated_bytes() const {
         std::uint64_t total = sizeof *this;
-        total += static_cast<std::uint64_t>(records.capacity()) * sizeof(CycleRecord);
         for (const auto& row : stage_keys) {
             total += static_cast<std::uint64_t>(row.capacity()) * sizeof(dta::OccKey);
         }
@@ -56,13 +53,11 @@ struct PipelineTrace {
     }
 };
 
-/// Observer that captures every cycle of a run into a PipelineTrace.
+/// Observer that captures the occupancy keys of every cycle of a run into a
+/// PipelineTrace.
 class TraceRecorder final : public PipelineObserver {
 public:
     TraceRecorder() = default;
-
-    /// Pre-sizes the trace arrays (e.g. from a prior run's cycle count).
-    void reserve(std::size_t cycles);
 
     void on_cycle(const CycleRecord& record) override;
 

@@ -32,8 +32,9 @@ int carry_chain_length(std::uint32_t a, std::uint32_t b) {
 /// Effective operand width (position of the highest set bit).
 int bit_width(std::uint32_t v) { return 32 - std::countl_zero(v); }
 
-}  // namespace
-
+/// Operand-driven excitation factor in [0, 1]; 0 excites the family's worst
+/// path. Only the EX stage sees real operand values; other stages use a
+/// neutral 0.5.
 double data_factor(const StageView& view, Stage stage) {
     if (stage != Stage::kEx || !view.valid) return 0.5;
     const std::uint32_t a = view.operand_a;
@@ -64,6 +65,8 @@ double data_factor(const StageView& view, Stage stage) {
     }
     return 0.5;
 }
+
+}  // namespace
 
 int occupancy_class(const StageView& view) {
     if (!view.valid) return kBubbleClass;

@@ -68,12 +68,6 @@ public:
     /// voltage-invariant trace-delay artifact is built on.
     CycleDelays evaluate_unit(const sim::CycleRecord& record) const;
 
-    /// Unscaled delay of one band for one (stage, cycle) slot: one
-    /// splitmix64 jitter draw mixed with the operand excitation. Exposed for
-    /// the fused stage-major unit kernel in timing/trace_delays.
-    double unit_band_delay(const DelayBand& band, const sim::StageView& view, sim::Stage stage,
-                           std::uint64_t cycle) const;
-
     /// Band resolved for (row, occupancy class); `row` is a stage index or
     /// kAdrRedirectRow.
     const DelayBand& band(int row, int occupancy_class) const {
@@ -92,6 +86,10 @@ public:
     double voltage_scale() const { return voltage_scale_; }
 
 private:
+    /// Unscaled delay of one band for one (stage, cycle) slot: one
+    /// splitmix64 jitter draw mixed with the operand excitation.
+    double unit_band_delay(const DelayBand& band, const sim::StageView& view, sim::Stage stage,
+                           std::uint64_t cycle) const;
     double band_delay(const DelayBand& band, const sim::StageView& view, sim::Stage stage,
                       std::uint64_t cycle) const;
 
@@ -104,11 +102,5 @@ private:
     /// load. Row kStageCount holds the ADR redirect bands.
     std::array<std::array<const DelayBand*, kOccupancyClasses>, sim::kStageCount + 1> band_lut_{};
 };
-
-/// Operand-driven excitation factor in [0, 1]; 0 excites the family's worst
-/// path. Only the EX stage sees real operand values; other stages use a
-/// neutral 0.5. Shared by the per-cycle calculator and the stage-major unit
-/// trace kernel.
-double data_factor(const sim::StageView& view, sim::Stage stage);
 
 }  // namespace focs::timing

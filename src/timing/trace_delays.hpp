@@ -4,22 +4,24 @@
 // per-cycle minimum safe clock period. Live evaluation derives it inside
 // every run (DelayCalculator::evaluate per cycle per cell). For replay the
 // requirement factors: the delay model's voltage dependence is a single
-// multiplicative delay_scale(v) (see DelayCalculator::unit_band_delay), so
-// the *unit* (unscaled) requirement is a pure function of (trace, design
-// variant, seed) alone. It is therefore computed exactly once per trace by
-// a fused stage-major pass — one splitmix64 per (stage, cycle), in the
-// style of the batched characterization kernel — and every operating point
-// on the voltage axis is served by a ScaledTraceDelays *view*: the shared
-// unit array plus one scalar. A V-point sweep grid pays ~one delay-model
-// pass instead of V, and keeps one resident double array per trace instead
-// of V copies.
+// multiplicative delay_scale(v) (see DelayCalculator::evaluate_unit), so
+// the *unit* (unscaled) requirement is a pure function of (program, machine
+// config, design variant, seed) alone. It is therefore computed exactly
+// once per trace — streamed from a guest run, DelayCalculator::evaluate_unit
+// on each cycle while its record is hot, so no per-cycle record array is
+// ever kept — and every operating point on the voltage axis is served by a
+// ScaledTraceDelays *view*: the shared unit array plus one scalar. A V-point
+// sweep grid pays one delay-model pass instead of V, and keeps one resident
+// double array per trace instead of V copies.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "asm/program.hpp"
 #include "sim/cycle_record.hpp"
+#include "sim/machine.hpp"
 #include "timing/delay_model.hpp"
 
 namespace focs::timing {
@@ -98,12 +100,30 @@ struct ScaledTraceDelays {
 TraceDelays compute_trace_delays(const DelayCalculator& calculator,
                                  const std::vector<sim::CycleRecord>& records);
 
-/// One fused stage-major pass over the trace: for each stage row the band
-/// is resolved and one splitmix64 jitter sample drawn per cycle, maxing the
-/// unit delays in place. Voltage-free — `calculator` contributes only its
-/// variant's bands and the design seed. Call once per (trace, variant).
-UnitTraceDelays compute_unit_trace_delays(const DelayCalculator& calculator,
-                                          const std::vector<sim::CycleRecord>& records);
+/// Observer that appends DelayCalculator::evaluate_unit of every cycle of a
+/// run to a UnitTraceDelays. Voltage-free — `calculator` contributes only
+/// its variant's bands and the design seed.
+class UnitDelayRecorder final : public sim::PipelineObserver {
+public:
+    explicit UnitDelayRecorder(const DelayCalculator& calculator);
+
+    void on_cycle(const sim::CycleRecord& record) override;
+
+    /// Moves the per-cycle arrays out, trimmed to the cycle count.
+    UnitTraceDelays take();
+
+private:
+    const DelayCalculator* calculator_;
+    UnitTraceDelays delays_;
+};
+
+/// Runs `program` on one machine configuration and streams every cycle
+/// through a UnitDelayRecorder. Cycle c of the result matches cycle c of
+/// sim::record_trace(program, machine_config). Call once per (trace,
+/// variant).
+UnitTraceDelays record_unit_trace_delays(const DelayCalculator& calculator,
+                                         const assembler::Program& program,
+                                         const sim::MachineConfig& machine_config = {});
 
 /// Derives one operating point's view from a shared unit array; the scale
 /// and static period are taken from `calculator` so they are bit-identical

@@ -2,7 +2,7 @@
 // to a live DcaEngine::run of the same cell — for every bundled PolicyKind,
 // every clock-generator family and at every replay block size (including
 // odd boundaries). The voltage-invariance contract is tested explicitly:
-// one fused unit delay pass per trace must serve every operating point
+// one unit delay pass per trace must serve every operating point
 // bit-identically to the per-voltage reference pass.
 #include <gtest/gtest.h>
 
@@ -37,15 +37,43 @@ constexpr PolicyKind kAllKinds[] = {PolicyKind::kStatic,    PolicyKind::kGenie,
                                     PolicyKind::kTwoClass,  PolicyKind::kApproxLut,
                                     PolicyKind::kDualCycle};
 
+/// The first `limit` CycleRecords of one run plus its full cycle count.
+/// Traces keep only occupancy keys, so the per-cycle reference checks
+/// collect the records they compare against themselves.
+struct CycleRecords {
+    std::vector<sim::CycleRecord> records;
+    std::uint64_t cycles = 0;
+};
+
+CycleRecords collect_records(const assembler::Program& program,
+                             std::size_t limit = SIZE_MAX) {
+    struct Collector final : sim::PipelineObserver {
+        std::size_t limit;
+        CycleRecords out;
+        void on_cycle(const sim::CycleRecord& record) override {
+            if (out.records.size() < limit) out.records.push_back(record);
+            ++out.cycles;
+        }
+    };
+    sim::Machine machine;
+    machine.load(program);
+    Collector collector;
+    collector.limit = limit;
+    machine.run(&collector);
+    return std::move(collector.out);
+}
+
 /// Shared fixture artifacts: one characterized table and one recorded trace
 /// (crc32 exercises redirects, loads and held cycles), built once. The
 /// required-period ground truth is the voltage-free unit array plus the
-/// design point's ScaledTraceDelays view.
+/// design point's ScaledTraceDelays view; `records` is the same run's
+/// CycleRecords for the per-cycle reference checks.
 struct ReplayFixture {
     timing::DesignConfig design;
     dta::DelayTable table;
     assembler::Program program;
     sim::PipelineTrace trace;
+    std::vector<sim::CycleRecord> records;
     std::shared_ptr<const timing::UnitTraceDelays> unit;
     timing::ScaledTraceDelays delays;
 
@@ -55,9 +83,9 @@ struct ReplayFixture {
                     .table),
           program(assembler::assemble(workloads::find_kernel("crc32").source)),
           trace(sim::record_trace(program)),
+          records(collect_records(program).records),
           unit(std::make_shared<const timing::UnitTraceDelays>(
-              timing::compute_unit_trace_delays(timing::DelayCalculator(design),
-                                                trace.records))),
+              timing::record_unit_trace_delays(timing::DelayCalculator(design), program))),
           delays(timing::scale_trace_delays(unit, timing::DelayCalculator(design))) {}
 };
 
@@ -253,9 +281,10 @@ TEST(TraceRecorder, CapturesGuestMetadataAndKeys) {
     EXPECT_EQ(f.trace.cycles(), direct.cycles);
 
     // The stage-major SoA rows are exactly attribution_keys of each record.
-    ASSERT_EQ(f.trace.records.size(), f.trace.stage_keys[0].size());
-    for (std::size_t c = 0; c < f.trace.records.size(); c += 97) {
-        const auto keys = dta::attribution_keys(f.trace.records[c]);
+    ASSERT_EQ(f.records.size(), f.trace.cycles());
+    for (const auto& row : f.trace.stage_keys) ASSERT_EQ(row.size(), f.records.size());
+    for (std::size_t c = 0; c < f.records.size(); c += 97) {
+        const auto keys = dta::attribution_keys(f.records[c]);
         for (int s = 0; s < sim::kStageCount; ++s) {
             EXPECT_EQ(f.trace.stage_keys[static_cast<std::size_t>(s)][c],
                       keys[static_cast<std::size_t>(s)])
@@ -264,16 +293,31 @@ TEST(TraceRecorder, CapturesGuestMetadataAndKeys) {
     }
 }
 
+TEST(TraceRecorder, EstimatedBytesChargesOnlyTheKeyRows) {
+    // A trace is its key rows (12 B per cycle) and nothing per-cycle
+    // besides: the byte figure the cache's LRU budget charges must be the
+    // struct plus those rows, so per-cycle record storage cannot creep back.
+    const ReplayFixture& f = fixture();
+    std::uint64_t expected = sizeof(sim::PipelineTrace);
+    for (const auto& row : f.trace.stage_keys) {
+        expected += static_cast<std::uint64_t>(row.capacity()) * sizeof(dta::OccKey);
+    }
+    EXPECT_EQ(f.trace.estimated_bytes(), expected);
+    EXPECT_GE(f.trace.estimated_bytes(),
+              f.trace.cycles() * sim::kStageCount * sizeof(dta::OccKey));
+}
+
 TEST(TraceDelays, UnitPassMatchesPerCycleUnitEvaluation) {
-    // The fused stage-major kernel must reproduce the per-cycle
-    // evaluate_unit() exactly — value and limiting-stage attribution.
+    // The streamed unit pass (its own guest run) must line up cycle for
+    // cycle with the trace's run and reproduce evaluate_unit() of that
+    // run's records exactly — value and limiting-stage attribution.
     const ReplayFixture& f = fixture();
     const timing::DelayCalculator calculator(f.design);
     ASSERT_EQ(f.unit->cycles(), f.trace.cycles());
     EXPECT_EQ(f.unit->unit_static_period_ps, calculator.unit_static_period_ps());
-    ASSERT_EQ(f.unit->limiting_stage.size(), f.trace.records.size());
-    for (std::size_t c = 0; c < f.trace.records.size(); c += 131) {
-        const timing::CycleDelays reference = calculator.evaluate_unit(f.trace.records[c]);
+    ASSERT_EQ(f.unit->limiting_stage.size(), f.records.size());
+    for (std::size_t c = 0; c < f.records.size(); c += 131) {
+        const timing::CycleDelays reference = calculator.evaluate_unit(f.records[c]);
         EXPECT_EQ(f.unit->unit_required_period_ps[c], reference.required_period_ps)
             << "cycle " << c;
         EXPECT_EQ(f.unit->limiting_stage[c], reference.limiting_stage) << "cycle " << c;
@@ -285,9 +329,9 @@ TEST(TraceDelays, ScaledViewMatchesPerCycleEvaluation) {
     const timing::DelayCalculator calculator(f.design);
     ASSERT_EQ(f.delays.cycles(), f.trace.cycles());
     EXPECT_EQ(f.delays.static_period_ps, calculator.static_period_ps());
-    for (std::size_t c = 0; c < f.trace.records.size(); c += 131) {
+    for (std::size_t c = 0; c < f.records.size(); c += 131) {
         EXPECT_EQ(f.delays.required_period_ps(c),
-                  calculator.evaluate(f.trace.records[c]).required_period_ps)
+                  calculator.evaluate(f.records[c]).required_period_ps)
             << "cycle " << c;
     }
 }
@@ -297,36 +341,37 @@ TEST(TraceDelays, OneUnitPassServesEveryVoltageBitIdentically) {
     // pass scaled to each point of a dense voltage grid must be
     // byte-identical to the per-voltage reference pass
     // (compute_trace_delays) — every cycle, every voltage, no tolerances.
-    // Each trace is truncated to a prefix so the dense grid stays fast; the
-    // identity is per-cycle, so a prefix proves the same thing.
+    // The reference runs over a prefix of each run's records so the dense
+    // grid stays fast; the identity is per-cycle, so a prefix proves the
+    // same thing.
     constexpr double kVoltages[] = {0.50, 0.55, 0.60, 0.65, 0.70,
                                     0.75, 0.80, 0.85, 0.90, 0.62};
     constexpr std::size_t kMaxCycles = 3000;
     for (const auto& kernel : workloads::benchmark_suite()) {
         SCOPED_TRACE(kernel.name);
         const auto program = assembler::assemble(kernel.source);
-        const sim::PipelineTrace trace = sim::record_trace(program);
-        const std::vector<sim::CycleRecord> records(
-            trace.records.begin(),
-            trace.records.begin() +
-                static_cast<std::ptrdiff_t>(std::min(kMaxCycles, trace.records.size())));
+        const CycleRecords run = collect_records(program, kMaxCycles);
         timing::DesignConfig design;
         const auto unit = std::make_shared<const timing::UnitTraceDelays>(
-            timing::compute_unit_trace_delays(timing::DelayCalculator(design), records));
+            timing::record_unit_trace_delays(timing::DelayCalculator(design), program));
+        ASSERT_EQ(unit->cycles(), run.cycles);
+        const auto prefix = static_cast<std::ptrdiff_t>(run.records.size());
         for (const double voltage : kVoltages) {
             SCOPED_TRACE(voltage);
             design.voltage_v = voltage;
             const timing::DelayCalculator calculator(design);
             const timing::TraceDelays reference =
-                timing::compute_trace_delays(calculator, records);
+                timing::compute_trace_delays(calculator, run.records);
             const timing::ScaledTraceDelays scaled =
                 timing::scale_trace_delays(unit, calculator);
-            ASSERT_EQ(scaled.cycles(), reference.cycles());
             EXPECT_EQ(scaled.static_period_ps, reference.static_period_ps);
             const timing::TraceDelays materialized = scaled.materialize();
+            ASSERT_EQ(materialized.cycles(), run.cycles);
             // Vector equality is element-exact: one comparison per grid
             // point instead of a quadratic EXPECT storm.
-            EXPECT_EQ(materialized.required_period_ps, reference.required_period_ps);
+            EXPECT_EQ(std::vector<double>(materialized.required_period_ps.begin(),
+                                          materialized.required_period_ps.begin() + prefix),
+                      reference.required_period_ps);
             EXPECT_EQ(materialized.static_period_ps, reference.static_period_ps);
         }
     }

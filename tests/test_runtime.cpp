@@ -8,6 +8,7 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -185,16 +186,18 @@ TEST(SweepEngine, StampsCacheOutcomeMetrics) {
     const SweepResult result = engine.run(small_spec());
     // Misses are the deterministic exactly-once builds; the hit/wait split
     // depends on thread scheduling, so the assertions use the served sums.
-    EXPECT_EQ(result.metrics.program.miss, 3u);      // one per kernel (trace builders)
+    EXPECT_EQ(result.metrics.program.miss, 3u);      // one per kernel
     EXPECT_EQ(result.metrics.delay_table.miss, 1u);  // one operating point
     EXPECT_EQ(result.metrics.trace.miss, 3u);
     EXPECT_EQ(result.metrics.unit_delays.miss, 3u);
-    // 12 cells plus 3 unit-delay builders request the trace; 3 of the 15
-    // requests build, the rest are served from the shared futures.
-    EXPECT_EQ(result.metrics.trace.served(), 12u);
+    // Only the 12 cells request the trace (the unit-delay builders step
+    // their own guest run); 3 of the 12 requests build, the rest are
+    // served from the shared futures.
+    EXPECT_EQ(result.metrics.trace.served(), 9u);
     EXPECT_EQ(result.metrics.unit_delays.served(), 9u);
     EXPECT_EQ(result.metrics.delay_table.served(), 11u);
-    EXPECT_EQ(result.metrics.program.served(), 0u);
+    // Trace and unit-delay builders each request their kernel's program.
+    EXPECT_EQ(result.metrics.program.served(), 3u);
     // Wall-time distribution: ordered percentiles over populated samples.
     EXPECT_GE(result.metrics.cell_wall_ms_p95, result.metrics.cell_wall_ms_p50);
     EXPECT_GE(result.metrics.cell_wall_ms_max, result.metrics.cell_wall_ms_p95);
@@ -895,6 +898,35 @@ TEST(ArtifactCache, OneNominalPassPerVariantServesEveryDesignPoint) {
     // points[0..3] share variant, voltage and guard and differ in floor.
     EXPECT_EQ(derived[0], derived[2]);
     EXPECT_NE(derived[0], derived[3]);
+}
+
+TEST(ArtifactCache, UnitDelaysStepTheirOwnGuestRun) {
+    // The unit-delay build never reads the trace entry: on a cache where
+    // trace() was never called it records no trace, and its arrays — for
+    // a first variant and a second one built after it — are bit-identical
+    // to those of a fresh cache that recorded the trace first.
+    timing::DesignConfig conventional;
+    conventional.variant = timing::DesignVariant::kConventional;
+    const timing::DesignConfig designs[] = {timing::DesignConfig{}, conventional};
+    ArtifactCache cache;
+    const auto first = cache.unit_trace_delays("crc32", designs[0]).get();
+    const auto second = cache.unit_trace_delays("crc32", designs[1]).get();
+    EXPECT_EQ(cache.traces_recorded(), 0u);
+    EXPECT_EQ(cache.class_counters(ArtifactClass::kTrace).miss, 0u);
+    EXPECT_EQ(cache.class_counters(ArtifactClass::kTrace).served(), 0u);
+    EXPECT_EQ(cache.unit_delay_passes(), 2u);
+    EXPECT_NE(first->unit_required_period_ps, second->unit_required_period_ps);
+
+    const std::uint64_t cycles = cache.trace("crc32").get().cycles();
+    for (const auto& [design, built] : {std::pair{designs[0], first}, {designs[1], second}}) {
+        ArtifactCache fresh;
+        EXPECT_EQ(fresh.trace("crc32").get().cycles(), cycles);
+        const auto reference = fresh.unit_trace_delays("crc32", design).get();
+        EXPECT_EQ(built->cycles(), cycles);
+        EXPECT_EQ(built->unit_static_period_ps, reference->unit_static_period_ps);
+        EXPECT_EQ(built->unit_required_period_ps, reference->unit_required_period_ps);
+        EXPECT_EQ(built->limiting_stage, reference->limiting_stage);
+    }
 }
 
 TEST(ArtifactCache, ProgramsAreSharedAndCounted) {

@@ -56,10 +56,13 @@
 // the "kernel:" prefix (e.g. kernel:crc32).
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -181,6 +184,41 @@ int parse_jobs(const std::vector<std::string>& args) {
     return 0;
 }
 
+/// Parses an integer flag into [lo, hi], defaulting when absent. The error
+/// is a one-line message naming the flag and the accepted range.
+int parse_bounded_int(const std::vector<std::string>& args, const char* name, int fallback,
+                      int lo, int hi) {
+    const auto text = flag_value(args, name);
+    if (!text) return fallback;
+    const auto value = parse_int(*text);
+    if (!value || *value < lo || *value > hi) {
+        throw Error(std::string(name) + " wants an integer in [" + std::to_string(lo) + ", " +
+                    std::to_string(hi) + "]");
+    }
+    return static_cast<int>(*value);
+}
+
+/// Parses a strictly positive, finite number flag, defaulting when absent.
+/// The whole token must be the number ("0.7x", " 0.7", "inf" and "nan" are
+/// rejected); one-line error otherwise.
+double parse_positive_double(const std::vector<std::string>& args, const char* name,
+                             double fallback) {
+    const auto text = flag_value(args, name);
+    if (!text) return fallback;
+    std::size_t pos = 0;
+    double value = 0;
+    try {
+        value = std::stod(*text, &pos);
+    } catch (const std::exception&) {
+        pos = 0;
+    }
+    if (pos == 0 || pos != text->size() || std::isspace(static_cast<unsigned char>((*text)[0])) ||
+        !std::isfinite(value) || value <= 0) {
+        throw Error(std::string(name) + " wants a finite positive number");
+    }
+    return value;
+}
+
 /// Flips the global observability switches per --metrics / --trace-out.
 /// Call before the workload so spans and counters actually record.
 void obs_enable(const std::vector<std::string>& args) {
@@ -219,18 +257,8 @@ runtime::SweepRunOptions parse_run_options(const std::vector<std::string>& args,
     }
     options.force_scalar_replay = flag_present(args, "--no-simd");
     options.reference_characterization = flag_present(args, "--reference-characterization");
-    if (const auto ms = flag_value(args, "--deadline-ms")) {
-        double value = 0;
-        try {
-            std::size_t pos = 0;
-            value = std::stod(*ms, &pos);
-            check(pos == ms->size() && value > 0, "--deadline-ms wants a positive number");
-        } catch (const Error&) {
-            throw;
-        } catch (const std::exception&) {
-            throw Error("--deadline-ms wants a positive number");
-        }
-        deadline = CancellationToken::with_deadline_ms(value);
+    if (const double ms = parse_positive_double(args, "--deadline-ms", 0); ms > 0) {
+        deadline = CancellationToken::with_deadline_ms(ms);
         options.cancel = &*deadline;
     }
     if (const auto spec = flag_value(args, "--fault")) {
@@ -312,8 +340,8 @@ int cmd_run(const std::vector<std::string>& args) {
     const auto program = assembler::assemble(load_source(args[0]));
     sim::Machine machine;
     machine.load(program);
-    std::uint64_t trace_cycles = 0;
-    if (const auto n = flag_value(args, "--trace")) trace_cycles = std::stoull(*n);
+    const std::uint64_t trace_cycles = static_cast<std::uint64_t>(
+        parse_bounded_int(args, "--trace", 0, 0, std::numeric_limits<int>::max()));
     sim::TracePrinter tracer(trace_cycles);
     const sim::RunResult result = machine.run(trace_cycles > 0 ? &tracer : nullptr);
     if (trace_cycles > 0) std::printf("%s\n", tracer.text().c_str());
@@ -341,7 +369,7 @@ int cmd_characterize(const std::vector<std::string>& args) {
     if (flag_present(args, "--conventional")) {
         design.variant = timing::DesignVariant::kConventional;
     }
-    if (const auto v = flag_value(args, "--voltage")) design.voltage_v = std::stod(*v);
+    design.voltage_v = parse_positive_double(args, "--voltage", design.voltage_v);
 
     // Batched engine by default; --jobs N adds intra-flow endpoint-kernel
     // workers, --batch sizes the ring slots, --streaming selects the
@@ -385,10 +413,15 @@ int cmd_characterize(const std::vector<std::string>& args) {
     return 0;
 }
 
+/// Largest --taps count evaluate accepts: the generator keeps one period
+/// per tap, so the bound keeps a typo from allocating without limit.
+constexpr int kMaxTaps = 1 << 16;
+
 int cmd_evaluate(const std::vector<std::string>& args) {
     if (args.empty()) usage();
     timing::DesignConfig design;
-    if (const auto v = flag_value(args, "--voltage")) design.voltage_v = std::stod(*v);
+    design.voltage_v = parse_positive_double(args, "--voltage", design.voltage_v);
+    const int taps = parse_bounded_int(args, "--taps", 0, 1, kMaxTaps);
     const auto program = assembler::assemble(load_source(args[0]));
     // Parse the policy before the (potentially expensive) table build so a
     // bad parameter is rejected immediately.
@@ -398,9 +431,9 @@ int cmd_evaluate(const std::vector<std::string>& args) {
     core::DcaEngine engine(design);
     const auto policy = core::make_policy(spec, table, engine.calculator().static_period_ps());
     core::DcaRunResult result;
-    if (const auto taps = flag_value(args, "--taps")) {
+    if (taps > 0) {
         clocking::QuantizedClockGenerator cg = clocking::QuantizedClockGenerator::
-            for_static_period(engine.calculator().static_period_ps(), std::stoi(*taps));
+            for_static_period(engine.calculator().static_period_ps(), taps);
         result = engine.run(program, *policy, cg);
     } else {
         result = engine.run(program, *policy);
@@ -534,38 +567,6 @@ extern "C" void serve_signal_handler(int) {
     const int fd = g_serve_signal_fd.load();
     if (fd >= 0) {
         [[maybe_unused]] const ssize_t n = ::write(fd, &cmd, 1);
-    }
-}
-
-/// Parses an integer flag into [lo, hi], defaulting when absent. The error
-/// is a one-line message naming the flag and the accepted range.
-int parse_bounded_int(const std::vector<std::string>& args, const char* name, int fallback,
-                      int lo, int hi) {
-    const auto text = flag_value(args, name);
-    if (!text) return fallback;
-    const auto value = parse_int(*text);
-    if (!value || *value < lo || *value > hi) {
-        throw Error(std::string(name) + " wants an integer in [" + std::to_string(lo) + ", " +
-                    std::to_string(hi) + "]");
-    }
-    return static_cast<int>(*value);
-}
-
-/// Parses a strictly positive number flag; one-line error otherwise.
-double parse_positive_double(const std::vector<std::string>& args, const char* name,
-                             double fallback) {
-    const auto text = flag_value(args, name);
-    if (!text) return fallback;
-    try {
-        std::size_t pos = 0;
-        const double value = std::stod(*text, &pos);
-        check(pos == text->size() && value > 0,
-              std::string(name) + " wants a positive number");
-        return value;
-    } catch (const Error&) {
-        throw;
-    } catch (const std::exception&) {
-        throw Error(std::string(name) + " wants a positive number");
     }
 }
 
