@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -14,7 +15,7 @@ void ClockGenerator::grant_block(const double* requested, std::size_t n, double*
 
 QuantizedClockGenerator::QuantizedClockGenerator(double min_period_ps, double max_period_ps,
                                                  int num_taps) {
-    check(num_taps >= 1, "need at least one tap");
+    check(num_taps >= 1 && num_taps <= kMaxTaps, "tap count out of range");
     check(min_period_ps > 0 && max_period_ps >= min_period_ps, "invalid tap range");
     taps_.reserve(static_cast<std::size_t>(num_taps));
     if (num_taps == 1) {
@@ -37,38 +38,6 @@ double QuantizedClockGenerator::grant_period_ps(double requested_ps) {
     return *it;
 }
 
-void QuantizedClockGenerator::grant_block(const double* requested, std::size_t n, double* out) {
-    const double* taps = taps_.data();
-    const double lo = taps_.front();
-    const double hi = taps_.back();
-    const double inv_step = inv_step_;
-    const double last = static_cast<double>(taps_.size() - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double r = requested[i];
-        if (r > hi) {  // beyond slowest tap: stretch
-            out[i] = r;
-            continue;
-        }
-        // The taps are equally spaced up to rounding, so the estimate is
-        // the answer or one tap off; the clamp also sends NaN and requests
-        // below the fastest tap to index 0, as lower_bound does.
-        const double estimate = std::ceil((r - lo) * inv_step);
-        std::size_t k = 0;
-        if (estimate >= last) {
-            k = static_cast<std::size_t>(last);
-        } else if (estimate > 0) {
-            k = static_cast<std::size_t>(estimate);
-        }
-        // One compare each way settles the rounding; the loops only run
-        // further when the spacing is within a few ulps of the tap values.
-        // They stop at taps[k - 1] < r <= taps[k], which is lower_bound's
-        // answer (r <= hi keeps k in range).
-        while (k > 0 && taps[k - 1] >= r) --k;
-        while (taps[k] < r) ++k;
-        out[i] = taps[k];
-    }
-}
-
 std::string QuantizedClockGenerator::name() const {
     char buf[48];
     std::snprintf(buf, sizeof buf, "ring-osc/%zu-taps", taps_.size());
@@ -79,6 +48,9 @@ PllBankClockGenerator::PllBankClockGenerator(std::vector<double> periods_ps, int
     : periods_(std::move(periods_ps)), min_dwell_cycles_(min_dwell_cycles) {
     check(!periods_.empty(), "PLL bank needs at least one source");
     check(min_dwell_cycles >= 0, "negative dwell");
+    for (const double period : periods_) {
+        check(std::isfinite(period) && period > 0, "PLL periods must be finite and positive");
+    }
     std::sort(periods_.begin(), periods_.end());
 }
 
@@ -89,7 +61,32 @@ void PllBankClockGenerator::reset() {
 }
 
 void PllBankClockGenerator::grant_block(const double* requested, std::size_t n, double* out) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = grant(requested[i]);
+    std::size_t i = 0;
+    while (i < n) {
+        if (started_) {
+            // Hold run: while lower_bound would pick the held source itself
+            // (periods_[current_ - 1] < r <= periods_[current_]), grant()
+            // takes its want == current_ branch — keep the source, grant its
+            // period, count the dwell. On the slowest source that branch
+            // also stretches any request above it. NaN and every other
+            // request fail the compares and take the state machine below.
+            const double held = periods_[current_];
+            const double below =
+                current_ > 0 ? periods_[current_ - 1] : -std::numeric_limits<double>::infinity();
+            const std::size_t run_begin = i;
+            if (current_ + 1 == periods_.size()) {
+                for (; i < n && below < requested[i]; ++i) {
+                    out[i] = requested[i] > held ? requested[i] : held;
+                }
+            } else {
+                for (; i < n && below < requested[i] && requested[i] <= held; ++i) out[i] = held;
+            }
+            dwell_ += static_cast<int>(i - run_begin);
+            if (i == n) break;
+        }
+        out[i] = grant(requested[i]);
+        ++i;
+    }
 }
 
 double PllBankClockGenerator::grant(double requested_ps) {

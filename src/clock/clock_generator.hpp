@@ -14,6 +14,11 @@
 
 namespace focs::clocking {
 
+/// Largest tap count a QuantizedClockGenerator accepts (sweep specs'
+/// taps:N, `focs evaluate --taps`): the generator keeps one period per tap,
+/// so the bound keeps a typo from allocating without limit.
+inline constexpr int kMaxTaps = 1 << 16;
+
 class ClockGenerator {
 public:
     virtual ~ClockGenerator() = default;
@@ -25,8 +30,11 @@ public:
     /// Block form of grant_period_ps: out[i] is bit-identical to the i-th
     /// of n consecutive grant_period_ps(requested[i]) calls, state carried
     /// across calls and blocks alike. `out` may alias `requested`. The
-    /// default loops over grant_period_ps; generators override it with a
-    /// non-virtual loop so replay pays one virtual call per block.
+    /// default loops over grant_period_ps; a stateful generator overrides it
+    /// with a non-virtual loop so replay pays one virtual call per block.
+    /// Replay never calls it for a QuantizedClockGenerator: that one is
+    /// stateless, and its grants run inside the quantize_reduce kernel
+    /// (core/replay_kernels.hpp).
     virtual void grant_block(const double* requested, std::size_t n, double* out);
 
     /// Re-arms the CG for a new run.
@@ -43,9 +51,13 @@ public:
     std::string name() const override { return "ideal"; }
 };
 
-/// Ring-oscillator style CG with `num_taps` equally spaced periods in
-/// [min_period_ps, max_period_ps]; requests are ceiled to the next tap.
-/// Requests above the slowest tap are granted verbatim (cycle stretching).
+/// Ring-oscillator style CG with `num_taps` (1..kMaxTaps) equally spaced
+/// periods in [min_period_ps, max_period_ps]; requests are ceiled to the
+/// next tap. Requests above the slowest tap are granted verbatim (cycle
+/// stretching). grant_period_ps is a lower_bound search; replay grants
+/// through the core::quantize_reduce kernels instead, which compute the tap
+/// index from the equal spacing (taps() and inv_step()) and land on the
+/// same tap.
 class QuantizedClockGenerator final : public ClockGenerator {
 public:
     QuantizedClockGenerator(double min_period_ps, double max_period_ps, int num_taps);
@@ -54,19 +66,15 @@ public:
     static QuantizedClockGenerator for_static_period(double static_period_ps, int num_taps);
 
     double grant_period_ps(double requested_ps) override;
-    /// Ceil-to-tap without a search: the tap index is computed from the
-    /// equal spacing, k = ceil((r - lo) / step), then a compare against
-    /// taps_[k-1] and taps_[k] corrects the rounding of that estimate, so
-    /// every grant is the very tap lower_bound finds.
-    void grant_block(const double* requested, std::size_t n, double* out) override;
     void reset() override {}
     std::string name() const override;
 
     const std::vector<double>& taps() const { return taps_; }
+    /// 1 / tap spacing, the tap-index estimate's factor; 0 for one tap.
+    double inv_step() const { return inv_step_; }
 
 private:
     std::vector<double> taps_;  ///< ascending
-    /// Tap-index estimate (r - taps_.front()) * inv_step_; 0 for one tap.
     double inv_step_ = 0;
 };
 
@@ -76,11 +84,15 @@ private:
 /// is always possible. Safety is preserved by staying slow when in doubt.
 class PllBankClockGenerator final : public ClockGenerator {
 public:
+    /// Every period must be finite and > 0 (any order; they are sorted).
     PllBankClockGenerator(std::vector<double> periods_ps, int min_dwell_cycles);
 
     double grant_period_ps(double requested_ps) override { return grant(requested_ps); }
     /// The dwell state machine in a non-virtual loop; the state carries
-    /// across blocks exactly as across single calls.
+    /// across blocks exactly as across single calls. A hold run — requests
+    /// whose covering source is the held one, or any request above the
+    /// slowest source while it is held — is granted in a tight loop that
+    /// only counts the dwell; every other request takes the state machine.
     void grant_block(const double* requested, std::size_t n, double* out) override;
     void reset() override;
     std::string name() const override;

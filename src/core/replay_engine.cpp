@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -191,38 +192,50 @@ std::vector<DcaRunResult> ReplayEvaluationEngine::run_fused(
     if (pure_gather) fill = gather;
 
     // --- One block loop. Each variant keeps private accumulators and
-    // consumes the shared block in the live engine's per-cycle order: a
-    // stateful generator grants the block in one grant_block call, then the
-    // grants (the requests themselves for the ideal generator) take the
-    // block reduction — strict-order time integral, order-free violation
-    // figures — so every variant is bit-identical to a live run at any
-    // block size. The required period is the same fl(unit * scale) double
-    // the live calculator produces (positive-constant multiplication is
-    // monotone under IEEE rounding, so it commutes with the per-stage max).
+    // consumes the shared block in the live engine's per-cycle order: the
+    // ideal generator's grants are the requests themselves, a quantized
+    // generator's grants are computed inside the quantize_reduce kernel,
+    // and any other generator grants the block in one grant_block call;
+    // the grants then take the block reduction — strict-order time
+    // integral, order-free violation figures — so every variant is
+    // bit-identical to a live run at any block size. The required period
+    // is the same fl(unit * scale) double the live calculator produces
+    // (positive-constant multiplication is monotone under IEEE rounding,
+    // so it commutes with the per-stage max).
     struct Variant {
         clocking::ClockGenerator* generator;
+        std::optional<TapLadder> ladder;  ///< set for a QuantizedClockGenerator
         double total_time_ps = 0;
         std::uint64_t violations = 0;
         double worst_violation_ps = 0;
     };
     std::vector<Variant> variants;
     variants.reserve(generators.size());
-    bool any_stateful = false;
+    bool any_granting = false;
     for (clocking::ClockGenerator* generator : generators) {
-        if (generator != nullptr) generator->reset();
-        any_stateful = any_stateful || generator != nullptr;
-        variants.push_back(Variant{generator});
+        std::optional<TapLadder> ladder;
+        if (generator != nullptr) {
+            generator->reset();
+            if (const auto* quantized =
+                    dynamic_cast<const clocking::QuantizedClockGenerator*>(generator)) {
+                ladder.emplace(*quantized);
+            } else {
+                any_granting = true;
+            }
+        }
+        variants.push_back(Variant{generator, std::move(ladder)});
     }
     // A lone ideal variant over a pure-gather fill takes the fused kernel:
     // gather, integrate and safety-check in one pass with no scratch
     // round-trip, so the independent gather chains overlap the serial
     // time-integral adds. Same figures as fill-then-reduce.
-    const bool fused_ideal = pure_gather && variants.size() == 1 && !any_stateful;
+    const bool fused_ideal =
+        pure_gather && variants.size() == 1 && variants.front().generator == nullptr;
 
     const std::size_t cycles = trace_->cycles();
     const std::size_t block = static_cast<std::size_t>(options_.block_cycles);
     std::vector<double> requested(scratch_cycles());
-    std::vector<double> granted(any_stateful ? scratch_cycles() : 0);
+    std::vector<double> granted(any_granting ? scratch_cycles() : 0);
 
 #ifndef FOCS_OBS_COMPILE_OUT
     bool instrumented = false;
@@ -257,6 +270,12 @@ std::vector<DcaRunResult> ReplayEvaluationEngine::run_fused(
         }
         fill(begin, end, requested.data());
         for (Variant& v : variants) {
+            if (v.ladder) {
+                kernels.quantize_reduce(requested.data(), *v.ladder, unit, scale,
+                                        kViolationTolerancePs, begin, count, &v.total_time_ps,
+                                        &v.violations, &v.worst_violation_ps);
+                continue;
+            }
             const double* grants = requested.data();
             if (v.generator != nullptr) {
                 v.generator->grant_block(requested.data(), count, granted.data());

@@ -5,10 +5,13 @@
 // PolicyKind is a pure function of the trace's stage-major occupancy-key
 // rows and the delay table, so each kind gets a devirtualized block fill
 // (no virtual dispatch, no CycleRecord reconstruction). The grant/
-// integrate/safety-check pass is a block operation too: a stateful clock
-// generator grants a whole block in one ClockGenerator::grant_block call,
-// and the grants go through the same block reduction the ideal generator
-// uses, which sums the time integral in strict cycle order. The required-
+// integrate/safety-check pass is a block operation too: a quantized clock
+// generator (recognized once per run_fused) grants inside the
+// quantize_reduce kernel, fused with the block reduction; any other
+// stateful generator grants a whole block in one
+// ClockGenerator::grant_block call, and the grants go through the same
+// block reduction the ideal generator uses. Every reduction sums the time
+// integral in strict cycle order. The required-
 // period ground truth is consumed as a ScaledTraceDelays view — the
 // trace's voltage-free unit array plus the operating point's delay scale —
 // so every voltage point of a sweep shares one resident array and the
@@ -105,7 +108,7 @@ public:
     /// the trace. The requested-period array of a block depends only on the
     /// policy, never on the generator, so one block fill serves every
     /// variant; each variant then pays only its own grant/integrate/safety
-    /// walk. A G-variant column costs one fill instead of G, and every
+    /// walk (one quantize_reduce call for a QuantizedClockGenerator). A G-variant column costs one fill instead of G, and every
     /// variant's figures are the ones a live run of that cell produces.
     std::vector<DcaRunResult> run_fused(
         const PolicySpec& spec, const std::vector<clocking::ClockGenerator*>& generators) const;

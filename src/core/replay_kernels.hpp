@@ -11,13 +11,20 @@
 // integer addition are associative and commutative over the NaN-free
 // inputs the engine feeds them). The one order-sensitive figure, the
 // integrated total time, is summed in strict cycle order by every
-// implementation. tests/test_replay.cpp pins the identity per policy kind,
-// block size and voltage; CI's simd-parity job byte-diffs whole sweeps.
+// implementation. The quantized clock generator's grants are a kernel
+// too (quantize_reduce): a vector lane keeps its computed tap only when a
+// compare proves it is lower_bound's tap, so a lane is exact or recomputed
+// by the scalar quantize_grant. tests/test_replay.cpp pins the identity
+// per policy kind, generator, block size and voltage, tests/test_clock.cpp
+// pins quantize_reduce against lower_bound; CI's simd-parity job
+// byte-diffs whole sweeps.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
+#include "clock/clock_generator.hpp"
 #include "dta/delay_table.hpp"
 
 namespace focs::core {
@@ -33,6 +40,33 @@ struct GatherStage {
     const dta::OccKey* keys = nullptr;
     const double* values = nullptr;
 };
+
+/// A QuantizedClockGenerator's taps as the quantize kernels read them,
+/// copied once per replay call. The copy starts with a -inf sentinel, so
+/// taps()[-1] is readable: the AVX2 kernel loads (taps[k - 1], taps[k]) as
+/// one pair for every tap index k, k = 0 included.
+class TapLadder {
+public:
+    explicit TapLadder(const clocking::QuantizedClockGenerator& generator);
+
+    const double* taps() const { return padded_.data() + 1; }  ///< ascending
+    std::size_t count() const { return padded_.size() - 1; }   ///< >= 1
+    double inv_step() const { return inv_step_; }  ///< 1 / tap spacing; 0 for one tap
+
+private:
+    std::vector<double> padded_;  ///< -inf, then the taps
+    double inv_step_;
+};
+
+/// The quantized generator's grant for one request without a search:
+/// k = ceil((r - taps[0]) * inv_step) clamped to [0, count - 1], then
+/// compares against taps[k - 1] and taps[k] correct the rounding of that
+/// estimate; r above the slowest tap is granted verbatim (stretch).
+/// Bit-identical to QuantizedClockGenerator::grant_period_ps (lower_bound)
+/// for every double, NaN and infinities included. The one copy of the
+/// index estimate: the scalar quantize_reduce inlines it, and the SIMD
+/// kernels call it for a quad whose vector check fails.
+double quantize_grant(const TapLadder& ladder, double requested);
 
 /// Kernel table resolved once per ReplayEvaluationEngine.
 struct ReplayKernels {
@@ -66,6 +100,18 @@ struct ReplayKernels {
                                 double scale, double tolerance, std::size_t begin,
                                 std::size_t count, double* total, std::uint64_t* violations,
                                 double* worst);
+    /// A quantized generator's grants fused with reduce_ideal in one call:
+    /// each requested[i] is ceiled to its tap and the grant takes the
+    /// strict-order total and the safety check, with no block-sized grant
+    /// array in between. Identical figures to quantize_grant per cycle into
+    /// a buffer followed by reduce_ideal. The AVX2 version estimates four
+    /// tap indices at once and keeps a lane's tap only when
+    /// taps[k - 1] < r <= taps[k] (or r is above the slowest tap); a quad
+    /// with any other lane (degenerate spacing, NaN, -inf) is granted by
+    /// quantize_grant.
+    void (*quantize_reduce)(const double* requested, const TapLadder& ladder, const double* unit,
+                            double scale, double tolerance, std::size_t begin, std::size_t count,
+                            double* total, std::uint64_t* violations, double* worst);
     /// "scalar" | "avx2" | "neon" — surfaced in the bench artifact.
     const char* name;
 };

@@ -21,7 +21,10 @@
 // reference's compare-and-replace, multiplies and the tolerance add are
 // the same IEEE ops, and the violation count / worst-delta reductions are
 // order-free. The integrated total is summed in strict cycle order from
-// the same requested[] values the vector lanes see.
+// the same requested[] values the vector lanes see. The AVX2 quantizer
+// keeps a lane's tap only after proving it is lower_bound's (see
+// quantize_reduce_avx2); any other quad is granted by the scalar
+// quantize_grant.
 #include "core/replay_kernels.hpp"
 
 #if defined(FOCS_SIMD_ENABLED) && defined(__AVX2__)
@@ -214,11 +217,108 @@ void gather_reduce_ideal_avx2(const GatherStage* stages, int stage_count, const 
     *worst = worst_violation_ps;
 }
 
+void quantize_reduce_avx2(const double* requested, const TapLadder& ladder, const double* unit,
+                          double scale, double tolerance, std::size_t begin, std::size_t count,
+                          double* total, std::uint64_t* violations, double* worst) {
+    double total_time_ps = *total;
+    std::uint64_t violation_count = *violations;
+    double worst_violation_ps = *worst;
+    const double* taps = ladder.taps();
+    const __m256d vlo = _mm256_set1_pd(taps[0]);
+    const __m256d vhi = _mm256_set1_pd(taps[ladder.count() - 1]);
+    const __m256d vinv_step = _mm256_set1_pd(ladder.inv_step());
+    const __m256d vlast = _mm256_set1_pd(static_cast<double>(ladder.count() - 1));
+    const __m256d vzero = _mm256_setzero_pd();
+    const __m256d vscale = _mm256_set1_pd(scale);
+    const __m256d vtol = _mm256_set1_pd(tolerance);
+    __m256d vworst = _mm256_set1_pd(worst_violation_ps);
+    // Two passes per chunk of quads. The grant pass has no loop-carried
+    // dependency, so the long estimate -> index -> load chains of many
+    // quads overlap; fed straight into the serial time-integral adds they
+    // would stall it. The reduce pass is reduce_ideal's, over the chunk.
+    constexpr std::size_t kChunk = 32;
+    alignas(32) double grants[kChunk];
+    const std::size_t vector_end = count & ~std::size_t{3};
+    std::size_t i = 0;
+    while (i < vector_end) {
+        const std::size_t n = std::min(kChunk, vector_end - i);
+        for (std::size_t j = 0; j < n; j += 4) {
+            const __m256d r = _mm256_loadu_pd(requested + i + j);
+            // quantize_grant's estimate: ceil, then clamp to [0, count - 1]
+            // (max_pd returns its second operand for a NaN, so NaN goes
+            // to 0).
+            const __m256d estimate =
+                _mm256_round_pd(_mm256_mul_pd(_mm256_sub_pd(r, vlo), vinv_step),
+                                _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC);
+            const __m128i k =
+                _mm256_cvttpd_epi32(_mm256_min_pd(_mm256_max_pd(estimate, vzero), vlast));
+            // One 16-byte load per lane reads the pair (taps[k - 1],
+            // taps[k]); taps[-1] is the -inf sentinel. Two unpacks
+            // transpose the pairs into `below` and `at`.
+            const __m256d pairs02 = _mm256_insertf128_pd(
+                _mm256_castpd128_pd256(_mm_loadu_pd(taps + _mm_cvtsi128_si32(k) - 1)),
+                _mm_loadu_pd(taps + _mm_extract_epi32(k, 2) - 1), 1);
+            const __m256d pairs13 = _mm256_insertf128_pd(
+                _mm256_castpd128_pd256(_mm_loadu_pd(taps + _mm_extract_epi32(k, 1) - 1)),
+                _mm_loadu_pd(taps + _mm_extract_epi32(k, 3) - 1), 1);
+            const __m256d below = _mm256_unpacklo_pd(pairs02, pairs13);
+            const __m256d at = _mm256_unpackhi_pd(pairs02, pairs13);
+            // A lane is exact when it stretches (r above the slowest tap) or
+            // taps[k - 1] < r <= taps[k] — lower_bound's tap, whatever the
+            // rounding of the estimate. NaN fails both.
+            const __m256d stretch = _mm256_cmp_pd(r, vhi, _CMP_GT_OQ);
+            const __m256d on_tap = _mm256_and_pd(_mm256_cmp_pd(below, r, _CMP_LT_OQ),
+                                                 _mm256_cmp_pd(r, at, _CMP_LE_OQ));
+            _mm256_store_pd(grants + j, _mm256_blendv_pd(at, r, stretch));
+            if (_mm256_movemask_pd(_mm256_or_pd(stretch, on_tap)) != 0xF) {
+                for (std::size_t l = j; l < j + 4; ++l) {
+                    grants[l] = quantize_grant(ladder, requested[i + l]);
+                }
+            }
+        }
+        for (std::size_t j = 0; j < n; j += 4) {
+            const __m256d granted = _mm256_load_pd(grants + j);
+            const __m256d required =
+                _mm256_mul_pd(_mm256_loadu_pd(unit + begin + i + j), vscale);
+            const __m256d mask =
+                _mm256_cmp_pd(_mm256_add_pd(granted, vtol), required, _CMP_LT_OQ);
+            const int bits = _mm256_movemask_pd(mask);
+            if (bits != 0) {
+                violation_count +=
+                    static_cast<unsigned>(__builtin_popcount(static_cast<unsigned>(bits)));
+                vworst =
+                    _mm256_max_pd(vworst, _mm256_and_pd(mask, _mm256_sub_pd(required, granted)));
+            }
+            total_time_ps += grants[j];
+            total_time_ps += grants[j + 1];
+            total_time_ps += grants[j + 2];
+            total_time_ps += grants[j + 3];
+        }
+        i += n;
+    }
+    alignas(32) double lanes[4];
+    _mm256_store_pd(lanes, vworst);
+    worst_violation_ps = std::max(std::max(lanes[0], lanes[1]), std::max(lanes[2], lanes[3]));
+    for (; i < count; ++i) {
+        const double granted = quantize_grant(ladder, requested[i]);
+        total_time_ps += granted;
+        const double required = unit[begin + i] * scale;
+        if (granted + tolerance < required) {
+            ++violation_count;
+            worst_violation_ps = std::max(worst_violation_ps, required - granted);
+        }
+    }
+    *total = total_time_ps;
+    *violations = violation_count;
+    *worst = worst_violation_ps;
+}
+
 constexpr ReplayKernels kAvx2Kernels = {
     &gather_max_avx2,
     &scale_avx2,
     &reduce_ideal_avx2,
     &gather_reduce_ideal_avx2,
+    &quantize_reduce_avx2,
     "avx2",
 };
 
@@ -363,17 +463,20 @@ void gather_reduce_ideal_neon(const GatherStage* stages, int stage_count, const 
     *worst = worst_violation_ps;
 }
 
-constexpr ReplayKernels kNeonKernels = {
-    &gather_max_neon,
-    &scale_neon,
-    &reduce_ideal_neon,
-    &gather_reduce_ideal_neon,
-    "neon",
-};
-
 }  // namespace
 
-const ReplayKernels* simd_replay_kernels() { return &kNeonKernels; }
+const ReplayKernels* simd_replay_kernels() {
+    // No NEON quantizer: quantize_reduce is the scalar table's kernel.
+    static const ReplayKernels kNeonKernels = {
+        &gather_max_neon,
+        &scale_neon,
+        &reduce_ideal_neon,
+        &gather_reduce_ideal_neon,
+        scalar_replay_kernels().quantize_reduce,
+        "neon",
+    };
+    return &kNeonKernels;
+}
 
 }  // namespace focs::core
 

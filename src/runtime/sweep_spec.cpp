@@ -32,11 +32,12 @@ double parse_double(const std::string& text) {
     }
 }
 
-/// An integer field in [min, INT_MAX]; nullopt when malformed or out of
-/// range (never narrowed).
-std::optional<int> parse_bounded_int(const std::string& text, int min) {
+/// An integer field in [min, max]; nullopt when malformed or out of range
+/// (never narrowed).
+std::optional<int> parse_bounded_int(const std::string& text, int min,
+                                     int max = std::numeric_limits<int>::max()) {
     const auto n = parse_int(text);
-    if (!n || *n < min || *n > std::numeric_limits<int>::max()) return std::nullopt;
+    if (!n || *n < min || *n > max) return std::nullopt;
     return static_cast<int>(*n);
 }
 
@@ -73,8 +74,11 @@ GeneratorSpec GeneratorSpec::parse(const std::string& text) {
     if (text == "ideal") return spec;
     if (starts_with(text, "taps:")) {
         spec.kind = Kind::kQuantized;
-        const auto taps = parse_bounded_int(text.substr(5), 2);
-        if (!taps) throw Error("generator '" + text + "': need taps:N with 2 <= N <= INT_MAX");
+        const auto taps = parse_bounded_int(text.substr(5), 2, clocking::kMaxTaps);
+        if (!taps) {
+            throw Error("generator '" + text + "': need taps:N with 2 <= N <= " +
+                        std::to_string(clocking::kMaxTaps));
+        }
         spec.num_taps = *taps;
         return spec;
     }
@@ -84,6 +88,10 @@ GeneratorSpec GeneratorSpec::parse(const std::string& text) {
         spec.kind = Kind::kPllBank;
         for (const auto& period : split(parts[0], '/')) {
             spec.periods_ps.push_back(parse_double(period));
+            if (!std::isfinite(spec.periods_ps.back()) || spec.periods_ps.back() <= 0) {
+                throw Error("generator '" + text + "': PLL period '" + period +
+                            "' must be finite and > 0");
+            }
         }
         if (spec.periods_ps.empty()) throw Error("generator '" + text + "': no PLL periods");
         const auto dwell = parse_bounded_int(parts[1], 0);

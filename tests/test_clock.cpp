@@ -10,6 +10,8 @@
 
 #include "clock/clock_generator.hpp"
 #include "common/error.hpp"
+#include "core/dca_engine.hpp"
+#include "core/replay_kernels.hpp"
 #include "timing/delay_model.hpp"
 #include "timing/design_config.hpp"
 
@@ -63,37 +65,73 @@ TEST(Quantized, RejectsBadConfig) {
 /// Bitwise equality (distinguishes -0.0 and compares NaN payloads).
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
-/// Asserts grant_block == per-call grant_period_ps (lower_bound), bit for
-/// bit, on requests at, one ulp either side of, below and above every tap.
-void expect_block_matches_lower_bound(QuantizedClockGenerator& cg) {
+/// Asserts that the quantize_reduce kernel of the scalar table and of the
+/// SIMD table (when this build and CPU have one) gives the same figures as
+/// per-call grant_period_ps (lower_bound) followed by reduce_ideal, bit for
+/// bit, at block sizes 1, 3 and 4096. The requests sit on, one ulp either
+/// side of, below and above every tap, plus 0, -0, NaN and ±inf; the
+/// required periods are taps too, so the safety check both passes and
+/// fails. Figures are compared after every block, so the time integral
+/// is checked before the +inf request (the last) saturates it.
+void expect_quantize_reduce_matches_lower_bound(QuantizedClockGenerator& cg) {
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    const double lo = cg.taps().front();
-    const double hi = cg.taps().back();
+    const std::vector<double>& taps = cg.taps();
+    const double lo = taps.front();
+    const double hi = taps.back();
     std::vector<double> requests = {0.0, -0.0, -1.0, 1e-300, 0.5 * lo, std::nextafter(lo, 0.0),
-                                    2.0 * hi, kInf, -kInf};
-    for (const double tap : cg.taps()) {
+                                    std::numeric_limits<double>::quiet_NaN(), 2.0 * hi, -kInf};
+    for (const double tap : taps) {
         requests.push_back(tap);
         requests.push_back(std::nextafter(tap, kInf));
         requests.push_back(std::nextafter(tap, -kInf));
     }
-    std::vector<double> block(requests.size());
-    cg.grant_block(requests.data(), requests.size(), block.data());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        const double expected = cg.grant_period_ps(requests[i]);
-        EXPECT_TRUE(same_bits(block[i], expected))
-            << "request " << requests[i] << ": block " << block[i] << " vs " << expected;
+    requests.push_back(kInf);
+    std::vector<double> unit(requests.size());
+    for (std::size_t i = 0; i < unit.size(); ++i) unit[i] = taps[(i * 7) % taps.size()];
+    const double scale = 1.001;
+    const double tolerance = core::kViolationTolerancePs;
+
+    std::vector<double> grants(requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) grants[i] = cg.grant_period_ps(requests[i]);
+    const core::TapLadder ladder(cg);
+    std::vector<const core::ReplayKernels*> tables = {&core::scalar_replay_kernels()};
+    if (core::simd_replay_kernels() != nullptr) tables.push_back(core::simd_replay_kernels());
+
+    for (const std::size_t block : {std::size_t{1}, std::size_t{3}, std::size_t{4096}}) {
+        for (const core::ReplayKernels* kernels : tables) {
+            SCOPED_TRACE(std::string(kernels->name) + " block " + std::to_string(block));
+            double ref_total = 0, total = 0, ref_worst = 0, worst = 0;
+            std::uint64_t ref_violations = 0, violations = 0;
+            for (std::size_t begin = 0; begin < requests.size(); begin += block) {
+                const std::size_t n = std::min(block, requests.size() - begin);
+                core::scalar_replay_kernels().reduce_ideal(grants.data() + begin, unit.data(),
+                                                           scale, tolerance, begin, n, &ref_total,
+                                                           &ref_violations, &ref_worst);
+                kernels->quantize_reduce(requests.data() + begin, ladder, unit.data(), scale,
+                                         tolerance, begin, n, &total, &violations, &worst);
+                ASSERT_TRUE(same_bits(total, ref_total))
+                    << "after request " << begin + n - 1 << ": total " << total << " vs "
+                    << ref_total;
+                ASSERT_EQ(violations, ref_violations) << "after request " << begin + n - 1;
+                ASSERT_TRUE(same_bits(worst, ref_worst))
+                    << "after request " << begin + n - 1 << ": worst " << worst << " vs "
+                    << ref_worst;
+            }
+        }
     }
-    // In-place form (out aliases requested).
-    std::vector<double> in_place = requests;
-    cg.grant_block(in_place.data(), in_place.size(), in_place.data());
-    EXPECT_EQ(0, std::memcmp(in_place.data(), block.data(), block.size() * sizeof(double)));
+    // Per request, the kernel's one-cycle grant is lower_bound's tap.
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const double grant = core::quantize_grant(ladder, requests[i]);
+        EXPECT_TRUE(same_bits(grant, grants[i]))
+            << "request " << requests[i] << ": " << grant << " vs " << grants[i];
+    }
 }
 
 TEST(Quantized, GrantBlockMatchesLowerBoundBitForBit) {
-    // The block call computes the tap index from the equal spacing instead
-    // of searching; it must still land on the very tap lower_bound finds,
-    // including for requests sitting exactly on, or one ulp either side
-    // of, a tap whose value the spacing arithmetic rounds.
+    // The replay kernel computes the tap index from the equal spacing
+    // instead of searching; it must still land on the very tap lower_bound
+    // finds, including for requests sitting exactly on, or one ulp either
+    // side of, a tap whose value the spacing arithmetic rounds.
     std::vector<double> statics = {2026.0, 1000.0, 1234.5678, 333.3};
     for (const double voltage : {0.60, 0.65, 0.70, 0.75, 0.80}) {  // sweep_cold grid
         timing::DesignConfig design;
@@ -105,42 +143,61 @@ TEST(Quantized, GrantBlockMatchesLowerBoundBitForBit) {
             SCOPED_TRACE(std::to_string(static_period) + "/" + std::to_string(num_taps));
             QuantizedClockGenerator cg =
                 QuantizedClockGenerator::for_static_period(static_period, num_taps);
-            expect_block_matches_lower_bound(cg);
+            expect_quantize_reduce_matches_lower_bound(cg);
         }
     }
 }
 
 TEST(Quantized, GrantBlockMatchesLowerBoundOnDegenerateSpacing) {
     // A wide tap range, and one whose spacing is a fraction of an ulp: the
-    // rounded taps repeat and the index estimate lands many taps off.
+    // rounded taps repeat and the index estimate lands many taps off, so
+    // the SIMD kernel's lane check fails and the quad is granted by the
+    // scalar quantizer.
     const double lo = 1000.0;
     for (const double hi : {1e6, std::nextafter(lo, 2 * lo)}) {
         for (int num_taps = 1; num_taps <= 64; ++num_taps) {
             SCOPED_TRACE(std::to_string(hi) + "/" + std::to_string(num_taps));
             QuantizedClockGenerator cg(lo, hi, num_taps);
-            expect_block_matches_lower_bound(cg);
+            expect_quantize_reduce_matches_lower_bound(cg);
         }
     }
+}
+
+TEST(Quantized, RejectsTapCountAboveBound) {
+    // The bound is checked before the taps are allocated.
+    EXPECT_THROW(QuantizedClockGenerator(1000.0, 2000.0, kMaxTaps + 1), Error);
+    EXPECT_THROW(QuantizedClockGenerator::for_static_period(2000.0, kMaxTaps + 1), Error);
 }
 
 TEST(PllBank, GrantBlockCarriesDwellAcrossBlocks) {
     // One request stream, granted per call and in blocks of 1, 3 and 4096:
     // the dwell state must carry across block boundaries, and a reset()
-    // partway through must re-arm both forms identically.
+    // partway through must re-arm both forms identically. The levels sit
+    // between sources, exactly on each source, one ulp either side of it,
+    // above the slowest source and at NaN, so the hold-run fast path meets
+    // every edge of its periods_[current_ - 1] < r <= periods_[current_]
+    // test.
+    const std::vector<double> sources = {1000.0, 1300.0, 1500.0, 2000.0};
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::vector<double> levels = {900.0, 1175.0, 1450.0, 1725.0, 2500.0, 1e9,
+                                  std::numeric_limits<double>::quiet_NaN()};
+    for (const double source : sources) {
+        levels.push_back(source);
+        levels.push_back(std::nextafter(source, -kInf));
+        levels.push_back(std::nextafter(source, kInf));
+    }
     std::vector<double> stream;
     std::uint64_t state = 0x9e3779b97f4a7c15ULL;
     for (int i = 0; i < 5000; ++i) {
         state = state * 6364136223846793005ULL + 1442695040888963407ULL;
         // Runs of equal requests interleaved with jumps, so dwell gating
         // both holds back and releases speed-ups.
-        const double level = 900.0 + static_cast<double>((state >> 33) % 5) * 275.0;
+        const double level = levels[(state >> 33) % levels.size()];
         const int run = 1 + static_cast<int>((state >> 20) % 7);
         for (int r = 0; r < run; ++r) stream.push_back(level);
     }
     const std::size_t reset_at = stream.size() / 2 + 1;
-    const auto make = [] {
-        return PllBankClockGenerator({1000.0, 1300.0, 1500.0, 2000.0}, /*min_dwell_cycles=*/4);
-    };
+    const auto make = [&] { return PllBankClockGenerator(sources, /*min_dwell_cycles=*/4); };
     std::vector<double> expected(stream.size());
     PllBankClockGenerator per_call = make();
     for (std::size_t i = 0; i < stream.size(); ++i) {
@@ -162,6 +219,16 @@ TEST(PllBank, GrantBlockCarriesDwellAcrossBlocks) {
         grant_range(reset_at, stream.size());
         EXPECT_EQ(0, std::memcmp(granted.data(), expected.data(),
                                  expected.size() * sizeof(double)));
+    }
+}
+
+TEST(PllBank, RejectsNonFiniteOrNonPositivePeriods) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double bad : {nan, inf, -inf, 0.0, -0.0, -5.0}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(PllBankClockGenerator({bad}, 4), Error);
+        EXPECT_THROW(PllBankClockGenerator({1300.0, bad, 1500.0}, 4), Error);
     }
 }
 

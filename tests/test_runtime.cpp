@@ -801,6 +801,22 @@ TEST(SweepSpec, RejectsBadInput) {
     rejects("generators = pll:1000/2000:4294967296\n");
     rejects("min_occurrences = 4294967297\n");
     rejects("jobs = 4294967296\n");
+    // A PLL period must be finite and positive: inf and NaN used to run the
+    // whole grid and then die serializing it, and NaN reached std::sort.
+    rejects("generators = pll:inf:4\n");
+    rejects("generators = pll:nan/1500:4\n");
+    rejects("generators = pll:1300/-inf:4\n");
+    rejects("generators = pll:-5/1500:4\n");
+    rejects("generators = pll:0:4\n");
+    // The tap count is bounded by clocking::kMaxTaps, as evaluate --taps is
+    // (parsing allocates no taps).
+    rejects("generators = taps:" + std::to_string(clocking::kMaxTaps + 1) + "\n");
+    rejects("generators = taps:70000\n");
+    rejects("generators = taps:2000000000\n");
+    EXPECT_EQ(SweepSpec::parse("generators = taps:" + std::to_string(clocking::kMaxTaps) + "\n")
+                  .generators.front()
+                  .num_taps,
+              clocking::kMaxTaps);
     EXPECT_EQ(SweepSpec::parse("min_occurrences = 2147483647\n").min_occurrences, 2147483647);
 }
 

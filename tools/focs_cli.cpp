@@ -413,15 +413,11 @@ int cmd_characterize(const std::vector<std::string>& args) {
     return 0;
 }
 
-/// Largest --taps count evaluate accepts: the generator keeps one period
-/// per tap, so the bound keeps a typo from allocating without limit.
-constexpr int kMaxTaps = 1 << 16;
-
 int cmd_evaluate(const std::vector<std::string>& args) {
     if (args.empty()) usage();
     timing::DesignConfig design;
     design.voltage_v = parse_positive_double(args, "--voltage", design.voltage_v);
-    const int taps = parse_bounded_int(args, "--taps", 0, 1, kMaxTaps);
+    const int taps = parse_bounded_int(args, "--taps", 0, 1, clocking::kMaxTaps);
     const auto program = assembler::assemble(load_source(args[0]));
     // Parse the policy before the (potentially expensive) table build so a
     // bad parameter is rejected immediately.
