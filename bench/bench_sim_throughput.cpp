@@ -142,8 +142,8 @@ void BM_EvaluateCellLut(benchmark::State& state) {
 BENCHMARK(BM_EvaluateCellLut)->Unit(benchmark::kMillisecond);
 
 // The replay-mode unit: the same cell as BM_EvaluateCellLut, scored by the
-// devirtualized SoA kernel over a pre-recorded trace instead of stepping
-// the pipeline (byte-identical result).
+// per-tuple LUT request over a pre-recorded trace's tuple ids instead of
+// stepping the pipeline (byte-identical result).
 void BM_ReplayCellLut(benchmark::State& state) {
     const timing::DesignConfig design;
     static const dta::DelayTable table =
@@ -442,7 +442,7 @@ void emit_artifact() {
     });
 
     // Replay-mode evaluation of the same cell: one recorded trace + the
-    // shared voltage-free unit delays, scored by the devirtualized SoA LUT
+    // shared voltage-free unit delays, scored by the per-tuple LUT request
     // kernel against a ScaledTraceDelays view.
     const sim::PipelineTrace trace = sim::record_trace(coremark_program());
     const auto unit_delays = std::make_shared<const timing::UnitTraceDelays>(
@@ -549,11 +549,11 @@ void emit_artifact() {
     const char* simd_isa = simd_active ? simd_kernels->name : "scalar";
 
     // Fused multi-generator replay: one {ideal, taps:8, pll} policy column
-    // scored by a single run_fused pass (the request fill paid once, each
-    // variant paying only its own grant/integrate walk) vs G independent
-    // run() calls — byte-identical results, so the ratio is pure fill
-    // amortization. Generators are stateful and re-instantiated inside the
-    // timed body on both sides.
+    // scored by a single run_fused pass (the per-tuple requests built once,
+    // every variant integrated in one multi-variant reduce) vs G
+    // independent run() calls — byte-identical results, so the ratio is
+    // the fusion's win. Generators are stateful and re-instantiated inside
+    // the timed body on both sides.
     const std::vector<runtime::GeneratorSpec> fused_gens = {
         runtime::GeneratorSpec::parse("ideal"), runtime::GeneratorSpec::parse("taps:8"),
         runtime::GeneratorSpec::parse("pll:1300/1500:4")};
@@ -847,9 +847,9 @@ void emit_artifact() {
            json_number(replay.cycles_per_s / kBaselineEvaluationCyclesPerS) + "\n  },\n";
     out += "  \"simd\": {\n";
     out += "    \"note\": " +
-           json_string("vectorized replay kernels (gather/max LUT fill, branch-free mask "
-                       "select, vectorized safety reduction) vs the byte-identical portable "
-                       "scalar kernel table (ReplayOptions::force_scalar / --no-simd), "
+           json_string("vectorized replay kernels (per-tuple LUT row read through the "
+                       "trace's tuple ids, vectorized safety reduction) vs the byte-identical "
+                       "portable scalar kernel table (ReplayOptions::force_scalar / --no-simd), "
                        "interleaved best of 5 passes each; replay_simd_speedup is enforced "
                        "as a floor by tools/check_bench_regression.py whenever simd_active "
                        "is 1") +

@@ -33,8 +33,8 @@ public:
     /// default loops over grant_period_ps; a stateful generator overrides it
     /// with a non-virtual loop so replay pays one virtual call per block.
     /// Replay never calls it for a QuantizedClockGenerator: that one is
-    /// stateless, and its grants run inside the quantize_reduce kernel
-    /// (core/replay_kernels.hpp).
+    /// stateless, and replay grants through core::quantize_grant and the
+    /// quantize kernel (core/replay_kernels.hpp).
     virtual void grant_block(const double* requested, std::size_t n, double* out);
 
     /// Re-arms the CG for a new run.
@@ -55,9 +55,9 @@ public:
 /// periods in [min_period_ps, max_period_ps]; requests are ceiled to the
 /// next tap. Requests above the slowest tap are granted verbatim (cycle
 /// stretching). grant_period_ps is a lower_bound search; replay grants
-/// through the core::quantize_reduce kernels instead, which compute the tap
-/// index from the equal spacing (taps() and inv_step()) and land on the
-/// same tap.
+/// through core::quantize_grant and the quantize kernels instead, which
+/// compute the tap index from the equal spacing (taps() and inv_step())
+/// and land on the same tap.
 class QuantizedClockGenerator final : public ClockGenerator {
 public:
     QuantizedClockGenerator(double min_period_ps, double max_period_ps, int num_taps);

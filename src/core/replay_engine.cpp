@@ -1,11 +1,10 @@
 #include "core/replay_engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -15,11 +14,6 @@ namespace focs::core {
 
 using dta::OccKey;
 using sim::Stage;
-
-namespace {
-constexpr std::size_t kStages = sim::kStageCount;
-constexpr std::size_t kKeys = dta::kKeyCount;
-}  // namespace
 
 ReplayEvaluationEngine::ReplayEvaluationEngine(const sim::PipelineTrace& trace,
                                                timing::ScaledTraceDelays delays,
@@ -32,12 +26,6 @@ ReplayEvaluationEngine::ReplayEvaluationEngine(const sim::PipelineTrace& trace,
           "trace delays were computed from a different trace (cycle count mismatch)");
     const ReplayKernels* simd = options_.force_scalar ? nullptr : simd_replay_kernels();
     kernels_ = simd != nullptr ? simd : &scalar_replay_kernels();
-    for (std::size_t s = 0; s < kStages; ++s) {
-        for (std::size_t key = 0; key < kKeys; ++key) {
-            effective_rows_[s][key] =
-                table.effective(static_cast<OccKey>(key), static_cast<Stage>(s));
-        }
-    }
 }
 
 std::size_t ReplayEvaluationEngine::scratch_cycles() const {
@@ -77,100 +65,78 @@ std::vector<DcaRunResult> ReplayEvaluationEngine::run_fused(
     // The policy object supplies the exact name string and the derived
     // constants (ex-only floor, class fast periods, approx scale, dual-
     // cycle stretch) of the live path; its virtual request hook is never
-    // called — the fills below are the devirtualized equivalents over the
-    // trace's SoA rows.
+    // called — the requests below are the devirtualized equivalents over
+    // the trace's key tuples.
     const auto policy = make_policy(spec, *table_, delays_.static_period_ps);
     const dta::DelayTable& table = *table_;
-    const auto& keys = trace_->stage_keys;
+    const std::vector<sim::StageKeyTuple>& tuples = trace_->tuples;
+    const std::uint32_t* tuple_ids = trace_->tuple_ids.data();
     const ReplayKernels& kernels = *kernels_;
     const double* unit = delays_.unit->unit_required_period_ps.data();
     const double scale = delays_.delay_scale;
 
-    // --- The policy's requested-period fill, built once for every variant.
-    // A fill that is a pure gather/max over per-stage value rows (LUT,
-    // ex-only, the class-select mask) is just the descriptor
-    // stages[0, stage_count); every other fill is the `fill` closure, which
-    // may gather first. The value rows live in `rows` or effective_rows_
-    // and outlive the block loop.
-    std::array<std::array<double, kKeys>, kStages> rows{};
-    std::array<GatherStage, kStages> stages{};
-    int stage_count = 0;
-    std::function<void(std::size_t, std::size_t, double*)> fill;
-    const auto gather = [&](std::size_t begin, std::size_t end, double* out) {
-        kernels.gather_max(stages.data(), stage_count, begin, end - begin, out);
-    };
-    // Stage-major SoA max (paper eq. 2): one gather/max pass per stage over
-    // the block's key row, into the fallback-resolved effective rows.
-    const auto gather_lut = [&] {
-        for (std::size_t s = 0; s < kStages; ++s) {
-            stages[s] = {keys[s].data(), effective_rows_[s].data()};
+    // --- The policy's requests. Every policy but genie requests a pure
+    // function of the cycle's key tuple, computed once per distinct tuple
+    // into `tuple_request` (cycle c requests tuple_request[ids[c]]); genie
+    // requests the cycle's own requirement, the unit row scaled to the
+    // operating point.
+    const bool per_cycle = spec.kind == PolicyKind::kGenie;
+    std::vector<double> tuple_request(per_cycle ? 0 : tuples.size());
+    // Paper eq. 2 per tuple: a running max over the stages in ascending
+    // order from 0.0 — the same doubles and compares as the live
+    // per-cycle max, so every tuple's value is the one a live cycle with
+    // that tuple requests.
+    const auto set_stage_max = [&](const auto& stage_value) {
+        for (std::size_t t = 0; t < tuples.size(); ++t) {
+            double period = 0.0;
+            for (std::size_t s = 0; s < sim::kStageCount; ++s) {
+                const double d = stage_value(tuples[t][s], static_cast<Stage>(s));
+                if (d > period) period = d;
+            }
+            tuple_request[t] = period;
         }
-        stage_count = sim::kStageCount;
+    };
+    const auto lut_entry = [&table](OccKey key, Stage stage) {
+        return table.effective(key, stage);
     };
     // Two-class family (two-class, dual-cycle): a cycle runs at the slow
     // period when any stage holds a slow-class or uncharacterized entry.
-    // Mask kernel: each stage gets a select row (slow ? slow : fast) and
-    // the fill is a pure gather/max — exact because slow >= fast >= 0 makes
-    // "max over per-stage selects" and "any stage slow" the same function.
-    // The guard always holds: every entry is clamped to the static period
-    // (so two-class's fast period is at most its slow, static one) and the
-    // dual-cycle stretch is >= 1.
+    // The max over per-stage selects (slow ? slow : fast) is that
+    // function exactly while slow >= fast >= 0, which always holds: every
+    // entry is clamped to the static period (so two-class's fast period is
+    // at most its slow, static one) and the dual-cycle stretch is >= 1.
     const auto class_select = [&](double fast, double slow) {
         check(slow >= fast && fast >= 0.0, "class-select periods need slow >= fast >= 0");
-        for (std::size_t s = 0; s < kStages; ++s) {
-            for (std::size_t key = 0; key < kKeys; ++key) {
-                const auto occ = static_cast<OccKey>(key);
-                const bool is_slow = TwoClassPolicy::is_slow_key(occ) ||
-                                     !table.characterized(occ, static_cast<Stage>(s));
-                rows[s][key] = is_slow ? slow : fast;
-            }
-            stages[s] = {keys[s].data(), rows[s].data()};
-        }
-        stage_count = sim::kStageCount;
+        set_stage_max([&](OccKey key, Stage stage) {
+            return TwoClassPolicy::is_slow_key(key) || !table.characterized(key, stage) ? slow
+                                                                                        : fast;
+        });
     };
 
     switch (spec.kind) {
-        case PolicyKind::kStatic: {
-            const double period = delays_.static_period_ps;
-            fill = [period](std::size_t begin, std::size_t end, double* out) {
-                std::fill(out, out + (end - begin), period);
-            };
+        case PolicyKind::kStatic:
+            std::fill(tuple_request.begin(), tuple_request.end(), delays_.static_period_ps);
             break;
-        }
-        case PolicyKind::kGenie:
-            // The oracle requests exactly the cycle requirement: the unit
-            // row scaled to the operating point.
-            fill = [&](std::size_t begin, std::size_t end, double* out) {
-                kernels.scale(unit + begin, scale, end - begin, out);
-            };
-            break;
-        case PolicyKind::kInstructionLut: gather_lut(); break;
+        case PolicyKind::kGenie: break;
+        case PolicyKind::kInstructionLut: set_stage_max(lut_entry); break;
         case PolicyKind::kApproxLut: {
             const auto* approx = dynamic_cast<const ApproximateLutPolicy*>(policy.get());
             check(approx != nullptr, "approx-lut policy kind produced an unexpected type");
-            const double approx_scale = approx->scale();
-            // The LUT max, then one compression multiply per cycle — the
-            // same fl order as the live cycle_period_ps(record) * scale.
-            gather_lut();
-            fill = [&, approx_scale](std::size_t begin, std::size_t end, double* out) {
-                gather(begin, end, out);
-                kernels.scale(out, approx_scale, end - begin, out);
-            };
+            // The LUT max, then one compression multiply — the same fl
+            // order as the live cycle_period_ps(record) * scale.
+            set_stage_max(lut_entry);
+            for (double& request : tuple_request) request = request * approx->scale();
             break;
         }
         case PolicyKind::kExOnly: {
             const auto* ex_only = dynamic_cast<const ExOnlyPolicy*>(policy.get());
             check(ex_only != nullptr, "ex-only policy kind produced an unexpected policy type");
             const double floor = ex_only->floor_ps();
-            // The floor folded into a single-stage value row: a one-stage
-            // gather/max (identical doubles — the max with the floor is
-            // precomputed per key).
-            const auto ex = static_cast<std::size_t>(Stage::kEx);
-            for (std::size_t key = 0; key < kKeys; ++key) {
-                rows[0][key] = std::max(effective_rows_[ex][key], floor);
-            }
-            stages[0] = {keys[ex].data(), rows[0].data()};
-            stage_count = 1;
+            // Only the EX entry counts, floored; every other stage adds a
+            // 0.0, which the running max from 0.0 absorbs.
+            set_stage_max([&](OccKey key, Stage stage) {
+                return stage == Stage::kEx ? std::max(table.effective(key, stage), floor) : 0.0;
+            });
             break;
         }
         case PolicyKind::kTwoClass: {
@@ -186,56 +152,64 @@ std::vector<DcaRunResult> ReplayEvaluationEngine::run_fused(
             class_select(fast, dual->stretch() * fast);
             break;
         }
+        default: check(false, "unknown policy kind");
     }
-    const bool pure_gather = fill == nullptr;
-    check(!pure_gather || stage_count > 0, "unknown policy kind");
-    if (pure_gather) fill = gather;
 
-    // --- One block loop. Each variant keeps private accumulators and
-    // consumes the shared block in the live engine's per-cycle order: the
-    // ideal generator's grants are the requests themselves, a quantized
-    // generator's grants are computed inside the quantize_reduce kernel,
-    // and any other generator grants the block in one grant_block call;
-    // the grants then take the block reduction — strict-order time
-    // integral, order-free violation figures — so every variant is
-    // bit-identical to a live run at any block size. The required period
-    // is the same fl(unit * scale) double the live calculator produces
-    // (positive-constant multiplication is monotone under IEEE rounding,
-    // so it commutes with the per-stage max).
+    // --- The variants' grants. The ideal generator grants the requests
+    // themselves. A quantized generator is stateless, so over a per-tuple
+    // request it grants once per tuple (quantize_grant) into a tap row;
+    // over genie's per-cycle requests it grants each block with the
+    // quantize kernel. Any other generator is stateful and grants each
+    // block of per-cycle requests in one grant_block call. Every variant's
+    // grants then take the one multi-variant reduce per block — strict-
+    // order time integral per variant, order-free violation figures — so
+    // every variant is bit-identical to a live run at any block size. The
+    // required period is the same fl(unit * scale) double the live
+    // calculator produces (positive-constant multiplication is monotone
+    // under IEEE rounding, so it commutes with the per-stage max).
     struct Variant {
-        clocking::ClockGenerator* generator;
-        std::optional<TapLadder> ladder;  ///< set for a QuantizedClockGenerator
-        double total_time_ps = 0;
-        std::uint64_t violations = 0;
-        double worst_violation_ps = 0;
+        clocking::ClockGenerator* generator = nullptr;
+        std::optional<TapLadder> ladder;  ///< set for a per-cycle quantized generator
+        std::vector<double> grants;       ///< tap row or block grants, when owned
     };
-    std::vector<Variant> variants;
-    variants.reserve(generators.size());
-    bool any_granting = false;
-    for (clocking::ClockGenerator* generator : generators) {
-        std::optional<TapLadder> ladder;
-        if (generator != nullptr) {
-            generator->reset();
-            if (const auto* quantized =
-                    dynamic_cast<const clocking::QuantizedClockGenerator*>(generator)) {
-                ladder.emplace(*quantized);
-            } else {
-                any_granting = true;
-            }
-        }
-        variants.push_back(Variant{generator, std::move(ladder)});
-    }
-    // A lone ideal variant over a pure-gather fill takes the fused kernel:
-    // gather, integrate and safety-check in one pass with no scratch
-    // round-trip, so the independent gather chains overlap the serial
-    // time-integral adds. Same figures as fill-then-reduce.
-    const bool fused_ideal =
-        pure_gather && variants.size() == 1 && variants.front().generator == nullptr;
-
     const std::size_t cycles = trace_->cycles();
     const std::size_t block = static_cast<std::size_t>(options_.block_cycles);
-    std::vector<double> requested(scratch_cycles());
-    std::vector<double> granted(any_granting ? scratch_cycles() : 0);
+    std::vector<double> requested;
+    const auto block_requests = [&] {
+        if (requested.empty()) requested.resize(scratch_cycles());
+        return requested.data();
+    };
+    std::vector<Variant> variants(generators.size());
+    std::vector<ReduceVariant> sums(generators.size());
+    for (std::size_t i = 0; i < generators.size(); ++i) {
+        Variant& v = variants[i];
+        ReduceVariant& sum = sums[i];
+        v.generator = generators[i];
+        const auto* quantized =
+            dynamic_cast<const clocking::QuantizedClockGenerator*>(v.generator);
+        if (v.generator != nullptr) v.generator->reset();
+        if (v.generator == nullptr) {
+            sum.grants = per_cycle ? block_requests() : tuple_request.data();
+            sum.per_tuple = !per_cycle;
+        } else if (quantized != nullptr && !per_cycle) {
+            const TapLadder ladder(*quantized);
+            v.grants.resize(tuples.size());
+            for (std::size_t t = 0; t < tuples.size(); ++t) {
+                v.grants[t] = quantize_grant(ladder, tuple_request[t]);
+            }
+            sum.grants = v.grants.data();
+            sum.per_tuple = true;
+        } else {
+            if (quantized != nullptr) v.ladder.emplace(*quantized);
+            block_requests();
+            v.grants.resize(scratch_cycles());
+            sum.grants = v.grants.data();
+        }
+    }
+    // Per-cycle requests exist only when genie or a block-granting
+    // generator reads them; a table-driven policy under ideal and
+    // quantized generators is reduced straight from its per-tuple rows.
+    const bool fill_requests = !requested.empty();
 
 #ifndef FOCS_OBS_COMPILE_OUT
     bool instrumented = false;
@@ -259,31 +233,24 @@ std::vector<DcaRunResult> ReplayEvaluationEngine::run_fused(
         // Block-boundary cancellation check; the cycle loops stay token-free
         // (see the cost note on ReplayOptions::cancel).
         if (options_.cancel != nullptr) options_.cancel->throw_if_cancelled();
-        const std::size_t end = std::min(cycles, begin + block);
-        const std::size_t count = end - begin;
-        if (fused_ideal) {
-            Variant& v = variants.front();
-            kernels.gather_reduce_ideal(stages.data(), stage_count, unit, scale,
-                                        kViolationTolerancePs, begin, count, &v.total_time_ps,
-                                        &v.violations, &v.worst_violation_ps);
-            continue;
+        const std::size_t count = std::min(cycles, begin + block) - begin;
+        if (fill_requests) {
+            if (per_cycle) {
+                kernels.scale(unit + begin, scale, count, requested.data());
+            } else {
+                gather(tuple_request.data(), tuple_ids, begin, count, requested.data());
+            }
         }
-        fill(begin, end, requested.data());
-        for (Variant& v : variants) {
+        for (std::size_t i = 0; i < variants.size(); ++i) {
+            Variant& v = variants[i];
             if (v.ladder) {
-                kernels.quantize_reduce(requested.data(), *v.ladder, unit, scale,
-                                        kViolationTolerancePs, begin, count, &v.total_time_ps,
-                                        &v.violations, &v.worst_violation_ps);
-                continue;
+                kernels.quantize(requested.data(), *v.ladder, count, v.grants.data());
+            } else if (v.generator != nullptr && !sums[i].per_tuple) {
+                v.generator->grant_block(requested.data(), count, v.grants.data());
             }
-            const double* grants = requested.data();
-            if (v.generator != nullptr) {
-                v.generator->grant_block(requested.data(), count, granted.data());
-                grants = granted.data();
-            }
-            kernels.reduce_ideal(grants, unit, scale, kViolationTolerancePs, begin, count,
-                                 &v.total_time_ps, &v.violations, &v.worst_violation_ps);
         }
+        kernels.reduce(sums.data(), sums.size(), tuple_ids, tuples.size(), unit, scale,
+                       kViolationTolerancePs, begin, count);
     }
 
 #ifndef FOCS_OBS_COMPILE_OUT
@@ -301,13 +268,13 @@ std::vector<DcaRunResult> ReplayEvaluationEngine::run_fused(
                                          {100, 150, 200, 300, 400, 500, 700, 1000, 1500, 2000,
                                           3000, 5000})) {}
         } ids(metrics);
-        for (const Variant& v : variants) {
+        for (const ReduceVariant& sum : sums) {
             metrics.add(ids.runs);
             metrics.add(ids.blocks, blocks);
             metrics.add(ids.cycles, cycles);
-            metrics.add(ids.violations, v.violations);
+            metrics.add(ids.violations, sum.violations);
             if (cycles > 0) {
-                metrics.observe(ids.avg_period, v.total_time_ps / static_cast<double>(cycles));
+                metrics.observe(ids.avg_period, sum.total_time_ps / static_cast<double>(cycles));
             }
         }
         span.arg("blocks", static_cast<std::int64_t>(blocks));
@@ -316,12 +283,14 @@ std::vector<DcaRunResult> ReplayEvaluationEngine::run_fused(
 
     std::vector<DcaRunResult> results;
     results.reserve(variants.size());
-    for (const Variant& v : variants) {
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+        const clocking::ClockGenerator* generator = variants[i].generator;
+        const ReduceVariant& sum = sums[i];
         DcaRunResult result = finish_run(
             policy->name(),
-            v.generator != nullptr ? v.generator->name() : clocking::IdealClockGenerator().name(),
-            cycles, v.total_time_ps, delays_.static_period_ps, v.violations,
-            v.worst_violation_ps);
+            generator != nullptr ? generator->name() : clocking::IdealClockGenerator().name(),
+            cycles, sum.total_time_ps, delays_.static_period_ps, sum.violations,
+            sum.worst_violation_ps);
         result.guest = trace_->guest;
         results.push_back(std::move(result));
     }

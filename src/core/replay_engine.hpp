@@ -1,34 +1,37 @@
 // Batched policy-replay engine over recorded pipeline traces.
 //
 // Scores clocking schemes against one canonical PipelineTrace without
-// re-simulating the guest. The per-cycle requested period of every bundled
-// PolicyKind is a pure function of the trace's stage-major occupancy-key
-// rows and the delay table, so each kind gets a devirtualized block fill
-// (no virtual dispatch, no CycleRecord reconstruction). The grant/
-// integrate/safety-check pass is a block operation too: a quantized clock
-// generator (recognized once per run_fused) grants inside the
-// quantize_reduce kernel, fused with the block reduction; any other
+// re-simulating the guest. The trace is a dictionary of distinct stage-key
+// tuples plus one tuple id per cycle, and the per-cycle request of every
+// table-driven PolicyKind (static, lut, approx-lut, ex-only, two-class,
+// dual-cycle) is a pure function of the cycle's tuple: it is evaluated
+// once per tuple, with the same IEEE operations as the live per-cycle
+// request, and a cycle's request is one indexed load (no virtual
+// dispatch, no CycleRecord reconstruction). Genie requests the cycle's
+// own requirement. The grant/integrate/safety-check pass is a block
+// operation over every generator variant of a column at once: a quantized
+// clock generator grants a table-driven policy once per tuple (a tap row)
+// and genie's per-cycle requests through the quantize kernel; any other
 // stateful generator grants a whole block in one
-// ClockGenerator::grant_block call, and the grants go through the same
-// block reduction the ideal generator uses. Every reduction sums the time
-// integral in strict cycle order. The required-
-// period ground truth is consumed as a ScaledTraceDelays view — the
-// trace's voltage-free unit array plus the operating point's delay scale —
-// so every voltage point of a sweep shares one resident array and the
-// safety check is one multiply per cycle. Every PolicySpec (parameterized
-// approx-lut and dual-cycle included) produces DcaRunResults byte-
-// identical to a live DcaEngine::run of the same cell at any block size;
-// a custom ClockPolicy object is evaluated live.
+// ClockGenerator::grant_block call; then one multi-variant reduce kernel
+// integrates every variant, each variant's time integral summed in strict
+// cycle order. The required-period ground truth is consumed as a
+// ScaledTraceDelays view — the trace's voltage-free unit array plus the
+// operating point's delay scale — so every voltage point of a sweep
+// shares one resident array and the safety check is one multiply per
+// cycle. Every PolicySpec (parameterized approx-lut and dual-cycle
+// included) produces DcaRunResults byte-identical to a live
+// DcaEngine::run of the same cell at any block size; a custom ClockPolicy
+// object is evaluated live.
 //
-// There is one fill builder and one block loop (run_fused; run() is its
-// single-variant case). Fills and reductions dispatch through a kernel
-// table (replay_kernels.hpp): explicit SIMD (AVX2/NEON) when compiled in
-// and supported, the portable scalar table otherwise or under
+// There is one request builder and one block loop (run_fused; run() is
+// its single-variant case). Fills and reductions dispatch through a
+// kernel table (replay_kernels.hpp): explicit SIMD (AVX2/NEON) when
+// compiled in and supported, the portable scalar table otherwise or under
 // ReplayOptions::force_scalar. The scalar table is the SIMD kernels'
 // reference; the live DcaEngine is the reference of the engine as a whole.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -105,11 +108,12 @@ public:
 
     /// Fused multi-generator replay: scores one policy across all generator
     /// variants of a sweep column (nullptr = ideal) in a single pass over
-    /// the trace. The requested-period array of a block depends only on the
-    /// policy, never on the generator, so one block fill serves every
-    /// variant; each variant then pays only its own grant/integrate/safety
-    /// walk (one quantize_reduce call for a QuantizedClockGenerator). A G-variant column costs one fill instead of G, and every
-    /// variant's figures are the ones a live run of that cell produces.
+    /// the trace. The requests depend only on the policy, never on the
+    /// generator, so one per-tuple evaluation serves every variant; each
+    /// block then takes the variants' own grants (a per-tuple tap row for
+    /// a QuantizedClockGenerator over a table-driven policy) and one
+    /// multi-variant reduce. Every variant's figures are the ones a live
+    /// run of that cell produces.
     std::vector<DcaRunResult> run_fused(
         const PolicySpec& spec, const std::vector<clocking::ClockGenerator*>& generators) const;
 
@@ -124,7 +128,7 @@ public:
 
 private:
     /// One block's worth of per-cycle scratch, clamped to the trace length
-    /// — the single sizing rule for the requested- and granted-period
+    /// — the single sizing rule for the per-cycle request and grant
     /// buffers, so block-size-1 runs allocate exactly one element each.
     /// Never zero: .data() must stay dereferenceable on empty traces.
     std::size_t scratch_cycles() const;
@@ -136,10 +140,6 @@ private:
     /// Kernel table of the block fills and reductions: SIMD when available
     /// and not forced scalar, the portable scalar table otherwise.
     const ReplayKernels* kernels_;
-    /// Stage-major transpose of the fallback-resolved delay table
-    /// (DelayTable::effective is key-major) so each gather reads one
-    /// contiguous per-stage value row.
-    std::array<std::array<double, dta::kKeyCount>, sim::kStageCount> effective_rows_{};
 };
 
 }  // namespace focs::core

@@ -5,103 +5,72 @@
 #include "core/replay_kernels.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
+#include <cstdint>
 #include <limits>
-
-#include "sim/cycle_record.hpp"
 
 namespace focs::core {
 namespace {
-
-void gather_max_scalar(const GatherStage* stages, int stage_count, std::size_t begin,
-                       std::size_t count, double* out) {
-    std::fill(out, out + count, 0.0);
-    for (int s = 0; s < stage_count; ++s) {
-        const dta::OccKey* row = stages[s].keys + begin;
-        const double* values = stages[s].values;
-        for (std::size_t i = 0; i < count; ++i) {
-            const double d = values[static_cast<std::size_t>(row[i])];
-            if (d > out[i]) out[i] = d;
-        }
-    }
-}
 
 void scale_scalar(const double* in, double factor, std::size_t count, double* out) {
     for (std::size_t i = 0; i < count; ++i) out[i] = in[i] * factor;
 }
 
-void reduce_ideal_scalar(const double* requested, const double* unit, double scale,
-                         double tolerance, std::size_t begin, std::size_t count, double* total,
-                         std::uint64_t* violations, double* worst) {
-    double total_time_ps = *total;
-    std::uint64_t violation_count = *violations;
-    double worst_violation_ps = *worst;
-    for (std::size_t i = 0; i < count; ++i) {
-        const double granted = requested[i];
-        total_time_ps += granted;
-        const double required = unit[begin + i] * scale;
-        if (granted + tolerance < required) {
-            ++violation_count;
-            worst_violation_ps = std::max(worst_violation_ps, required - granted);
-        }
-    }
-    *total = total_time_ps;
-    *violations = violation_count;
-    *worst = worst_violation_ps;
+void quantize_scalar(const double* requested, const TapLadder& ladder, std::size_t count,
+                     double* out) {
+    for (std::size_t i = 0; i < count; ++i) out[i] = quantize_grant(ladder, requested[i]);
 }
 
-void gather_reduce_ideal_scalar(const GatherStage* stages, int stage_count, const double* unit,
-                                double scale, double tolerance, std::size_t begin,
-                                std::size_t count, double* total, std::uint64_t* violations,
-                                double* worst) {
-    double total_time_ps = *total;
-    std::uint64_t violation_count = *violations;
-    double worst_violation_ps = *worst;
+/// One interleave group of G variants: the totals, counts and worst
+/// deltas live in locals, so the G strict-order add chains are
+/// independent registers the core retires side by side.
+template <std::size_t G>
+void reduce_group_scalar(ReduceVariant* group, const std::uint32_t* ids, const double* unit,
+                         double scale, double tolerance, std::size_t begin, std::size_t count) {
+    std::array<const double*, G> grants{};
+    std::array<bool, G> per_tuple{};
+    std::array<double, G> total{};
+    std::array<std::uint64_t, G> violations{};
+    std::array<double, G> worst{};
+    for (std::size_t g = 0; g < G; ++g) {
+        grants[g] = group[g].grants;
+        per_tuple[g] = group[g].per_tuple;
+        total[g] = group[g].total_time_ps;
+        violations[g] = group[g].violations;
+        worst[g] = group[g].worst_violation_ps;
+    }
     for (std::size_t i = 0; i < count; ++i) {
-        double granted = 0.0;
-        for (int s = 0; s < stage_count; ++s) {
-            const double d = stages[s].values[static_cast<std::size_t>(stages[s].keys[begin + i])];
-            if (d > granted) granted = d;
-        }
-        total_time_ps += granted;
         const double required = unit[begin + i] * scale;
-        if (granted + tolerance < required) {
-            ++violation_count;
-            worst_violation_ps = std::max(worst_violation_ps, required - granted);
+        const std::size_t id = ids[begin + i];
+        for (std::size_t g = 0; g < G; ++g) {
+            const double granted = grants[g][per_tuple[g] ? id : i];
+            total[g] += granted;
+            if (granted + tolerance < required) {
+                ++violations[g];
+                worst[g] = std::max(worst[g], required - granted);
+            }
         }
     }
-    *total = total_time_ps;
-    *violations = violation_count;
-    *worst = worst_violation_ps;
+    for (std::size_t g = 0; g < G; ++g) {
+        group[g].total_time_ps = total[g];
+        group[g].violations = violations[g];
+        group[g].worst_violation_ps = worst[g];
+    }
 }
 
-void quantize_reduce_scalar(const double* requested, const TapLadder& ladder,
-                            const double* unit, double scale, double tolerance, std::size_t begin,
-                            std::size_t count, double* total, std::uint64_t* violations,
-                            double* worst) {
-    double total_time_ps = *total;
-    std::uint64_t violation_count = *violations;
-    double worst_violation_ps = *worst;
-    for (std::size_t i = 0; i < count; ++i) {
-        const double granted = quantize_grant(ladder, requested[i]);
-        total_time_ps += granted;
-        const double required = unit[begin + i] * scale;
-        if (granted + tolerance < required) {
-            ++violation_count;
-            worst_violation_ps = std::max(worst_violation_ps, required - granted);
-        }
-    }
-    *total = total_time_ps;
-    *violations = violation_count;
-    *worst = worst_violation_ps;
+void reduce_scalar(ReduceVariant* variants, std::size_t variant_count, const std::uint32_t* ids,
+                   std::size_t /*tuples*/, const double* unit, double scale, double tolerance,
+                   std::size_t begin, std::size_t count) {
+    for_each_reduce_group(variants, variant_count, [&](auto size, ReduceVariant* group) {
+        reduce_group_scalar<decltype(size)::value>(group, ids, unit, scale, tolerance, begin,
+                                                   count);
+    });
 }
 
 constexpr ReplayKernels kScalarKernels = {
-    &gather_max_scalar,
     &scale_scalar,
-    &reduce_ideal_scalar,
-    &gather_reduce_ideal_scalar,
-    &quantize_reduce_scalar,
+    &quantize_scalar,
+    &reduce_scalar,
     "scalar",
 };
 
@@ -120,15 +89,18 @@ double quantize_grant(const TapLadder& ladder, double requested) {
     const double r = requested;
     if (r > taps[last]) return r;  // beyond slowest tap: stretch
     // The taps are equally spaced up to rounding, so the estimate is the
-    // answer or one tap off; the clamp also sends NaN and requests below
-    // the fastest tap to index 0, as lower_bound does.
-    const double estimate = std::ceil((r - taps[0]) * ladder.inv_step());
-    std::size_t k = 0;
-    if (estimate >= static_cast<double>(last)) {
-        k = last;
-    } else if (estimate > 0) {
-        k = static_cast<std::size_t>(estimate);
-    }
+    // answer or one tap off. The clamp to [0, last] comes before the
+    // conversion, so NaN, infinities and requests below the fastest tap
+    // (all sent to index 0, as lower_bound does) never reach it; then
+    // ceil is the truncation plus one for a fractional part, with no
+    // std::ceil call (a branchy sequence at the x86-64 baseline).
+    double x = (r - taps[0]) * ladder.inv_step();
+    x = x > 0.0 ? x : 0.0;
+    const auto top = static_cast<double>(last);
+    x = x < top ? x : top;
+    const auto truncated = static_cast<std::int64_t>(x);
+    std::size_t k = static_cast<std::size_t>(truncated) +
+                    static_cast<std::size_t>(x > static_cast<double>(truncated));
     // One compare each way settles the rounding; the loops only run
     // further when the spacing is within a few ulps of the tap values.
     // They stop at taps[k - 1] < r <= taps[k], which is lower_bound's

@@ -10,7 +10,6 @@
 
 #include "clock/clock_generator.hpp"
 #include "common/error.hpp"
-#include "core/dca_engine.hpp"
 #include "core/replay_kernels.hpp"
 #include "timing/delay_model.hpp"
 #include "timing/design_config.hpp"
@@ -65,15 +64,14 @@ TEST(Quantized, RejectsBadConfig) {
 /// Bitwise equality (distinguishes -0.0 and compares NaN payloads).
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
-/// Asserts that the quantize_reduce kernel of the scalar table and of the
-/// SIMD table (when this build and CPU have one) gives the same figures as
-/// per-call grant_period_ps (lower_bound) followed by reduce_ideal, bit for
-/// bit, at block sizes 1, 3 and 4096. The requests sit on, one ulp either
-/// side of, below and above every tap, plus 0, -0, NaN and ±inf; the
-/// required periods are taps too, so the safety check both passes and
-/// fails. Figures are compared after every block, so the time integral
-/// is checked before the +inf request (the last) saturates it.
-void expect_quantize_reduce_matches_lower_bound(QuantizedClockGenerator& cg) {
+/// Asserts that the quantize kernel of the scalar table and of the SIMD
+/// table (when this build and CPU have one), and quantize_grant itself,
+/// grant exactly what per-call grant_period_ps (lower_bound) grants, bit
+/// for bit, at block sizes 1, 3 and 4096. The requests sit on, one ulp
+/// either side of, below and above every tap, plus 0, -0, NaN and ±inf.
+/// quantize_grant is what replay uses to grant a table-driven policy's
+/// per-tuple requests, so the last check is the tap-row contract.
+void expect_quantize_matches_lower_bound(QuantizedClockGenerator& cg) {
     constexpr double kInf = std::numeric_limits<double>::infinity();
     const std::vector<double>& taps = cg.taps();
     const double lo = taps.front();
@@ -86,10 +84,6 @@ void expect_quantize_reduce_matches_lower_bound(QuantizedClockGenerator& cg) {
         requests.push_back(std::nextafter(tap, -kInf));
     }
     requests.push_back(kInf);
-    std::vector<double> unit(requests.size());
-    for (std::size_t i = 0; i < unit.size(); ++i) unit[i] = taps[(i * 7) % taps.size()];
-    const double scale = 1.001;
-    const double tolerance = core::kViolationTolerancePs;
 
     std::vector<double> grants(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) grants[i] = cg.grant_period_ps(requests[i]);
@@ -100,26 +94,17 @@ void expect_quantize_reduce_matches_lower_bound(QuantizedClockGenerator& cg) {
     for (const std::size_t block : {std::size_t{1}, std::size_t{3}, std::size_t{4096}}) {
         for (const core::ReplayKernels* kernels : tables) {
             SCOPED_TRACE(std::string(kernels->name) + " block " + std::to_string(block));
-            double ref_total = 0, total = 0, ref_worst = 0, worst = 0;
-            std::uint64_t ref_violations = 0, violations = 0;
+            std::vector<double> out(requests.size());
             for (std::size_t begin = 0; begin < requests.size(); begin += block) {
                 const std::size_t n = std::min(block, requests.size() - begin);
-                core::scalar_replay_kernels().reduce_ideal(grants.data() + begin, unit.data(),
-                                                           scale, tolerance, begin, n, &ref_total,
-                                                           &ref_violations, &ref_worst);
-                kernels->quantize_reduce(requests.data() + begin, ladder, unit.data(), scale,
-                                         tolerance, begin, n, &total, &violations, &worst);
-                ASSERT_TRUE(same_bits(total, ref_total))
-                    << "after request " << begin + n - 1 << ": total " << total << " vs "
-                    << ref_total;
-                ASSERT_EQ(violations, ref_violations) << "after request " << begin + n - 1;
-                ASSERT_TRUE(same_bits(worst, ref_worst))
-                    << "after request " << begin + n - 1 << ": worst " << worst << " vs "
-                    << ref_worst;
+                kernels->quantize(requests.data() + begin, ladder, n, out.data() + begin);
+            }
+            for (std::size_t i = 0; i < requests.size(); ++i) {
+                ASSERT_TRUE(same_bits(out[i], grants[i]))
+                    << "request " << requests[i] << ": " << out[i] << " vs " << grants[i];
             }
         }
     }
-    // Per request, the kernel's one-cycle grant is lower_bound's tap.
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const double grant = core::quantize_grant(ladder, requests[i]);
         EXPECT_TRUE(same_bits(grant, grants[i]))
@@ -143,7 +128,7 @@ TEST(Quantized, GrantBlockMatchesLowerBoundBitForBit) {
             SCOPED_TRACE(std::to_string(static_period) + "/" + std::to_string(num_taps));
             QuantizedClockGenerator cg =
                 QuantizedClockGenerator::for_static_period(static_period, num_taps);
-            expect_quantize_reduce_matches_lower_bound(cg);
+            expect_quantize_matches_lower_bound(cg);
         }
     }
 }
@@ -158,7 +143,7 @@ TEST(Quantized, GrantBlockMatchesLowerBoundOnDegenerateSpacing) {
         for (int num_taps = 1; num_taps <= 64; ++num_taps) {
             SCOPED_TRACE(std::to_string(hi) + "/" + std::to_string(num_taps));
             QuantizedClockGenerator cg(lo, hi, num_taps);
-            expect_quantize_reduce_matches_lower_bound(cg);
+            expect_quantize_matches_lower_bound(cg);
         }
     }
 }

@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -280,31 +282,128 @@ TEST(TraceRecorder, CapturesGuestMetadataAndKeys) {
     EXPECT_EQ(f.trace.guest.reports, direct.reports);
     EXPECT_EQ(f.trace.cycles(), direct.cycles);
 
-    // The stage-major SoA rows are exactly attribution_keys of each record.
+    // Every cycle's tuple is exactly attribution_keys of its record, and
+    // the ids are dense in first-seen order: a cycle either reuses an id
+    // already seen or takes the next unused one.
     ASSERT_EQ(f.records.size(), f.trace.cycles());
-    for (const auto& row : f.trace.stage_keys) ASSERT_EQ(row.size(), f.records.size());
-    for (std::size_t c = 0; c < f.records.size(); c += 97) {
-        const auto keys = dta::attribution_keys(f.records[c]);
-        for (int s = 0; s < sim::kStageCount; ++s) {
-            EXPECT_EQ(f.trace.stage_keys[static_cast<std::size_t>(s)][c],
-                      keys[static_cast<std::size_t>(s)])
-                << "cycle " << c << " stage " << s;
-        }
+    std::uint32_t next_new = 0;
+    for (std::size_t c = 0; c < f.records.size(); ++c) {
+        const std::uint32_t id = f.trace.tuple_ids[c];
+        ASSERT_LE(id, next_new) << "cycle " << c;
+        if (id == next_new) ++next_new;
+        ASSERT_LT(id, f.trace.tuples.size()) << "cycle " << c;
+        ASSERT_EQ(f.trace.tuples[id], dta::attribution_keys(f.records[c])) << "cycle " << c;
     }
+    EXPECT_EQ(next_new, f.trace.tuples.size());
+    // The dictionary holds each tuple once.
+    std::set<sim::StageKeyTuple> distinct(f.trace.tuples.begin(), f.trace.tuples.end());
+    EXPECT_EQ(distinct.size(), f.trace.tuples.size());
+    EXPECT_LT(f.trace.tuples.size(), f.trace.cycles());
 }
 
 TEST(TraceRecorder, EstimatedBytesChargesOnlyTheKeyRows) {
-    // A trace is its key rows (12 B per cycle) and nothing per-cycle
-    // besides: the byte figure the cache's LRU budget charges must be the
-    // struct plus those rows, so per-cycle record storage cannot creep back.
+    // A trace is its tuple ids (4 B per cycle) and its tuple dictionary and
+    // nothing per-cycle besides: the byte figure the cache's LRU budget
+    // charges must be exactly the struct, the ids and the dictionary, so
+    // per-cycle record or key storage cannot creep back. Recording trims
+    // both arrays, so the charge is their size.
     const ReplayFixture& f = fixture();
-    std::uint64_t expected = sizeof(sim::PipelineTrace);
-    for (const auto& row : f.trace.stage_keys) {
-        expected += static_cast<std::uint64_t>(row.capacity()) * sizeof(dta::OccKey);
+    EXPECT_EQ(f.trace.tuple_ids.capacity(), f.trace.tuple_ids.size());
+    EXPECT_EQ(f.trace.tuples.capacity(), f.trace.tuples.size());
+    EXPECT_EQ(f.trace.estimated_bytes(),
+              sizeof(sim::PipelineTrace) + f.trace.cycles() * sizeof(std::uint32_t) +
+                  f.trace.tuples.size() * sizeof(sim::StageKeyTuple));
+}
+
+TEST(Replay, TraceWithMoreTuplesThanSixteenBitIdsMatchesPerStageMax) {
+    // A hand-built trace with more distinct tuples than a 16-bit id can
+    // name, every tuple used and then revisited in random order. The LUT
+    // policy's replay under ideal, taps and PLL generators must equal a
+    // test-local per-cycle reference: the zero-initialized max over the
+    // six stages' table entries, granted per cycle and summed in order.
+    const ReplayFixture& f = fixture();
+    constexpr std::size_t kTuples = 70000;
+    constexpr std::size_t kCycles = 150000;
+    sim::PipelineTrace trace;
+    std::mt19937_64 rng(0x71e5ULL);
+    for (std::size_t t = 0; t < kTuples; ++t) {
+        sim::StageKeyTuple tuple{};
+        std::size_t digits = t;
+        for (auto& key : tuple) {
+            key = static_cast<dta::OccKey>(digits % dta::kKeyCount);
+            digits /= dta::kKeyCount;
+        }
+        trace.tuples.push_back(tuple);
     }
-    EXPECT_EQ(f.trace.estimated_bytes(), expected);
-    EXPECT_GE(f.trace.estimated_bytes(),
-              f.trace.cycles() * sim::kStageCount * sizeof(dta::OccKey));
+    for (std::size_t c = 0; c < kCycles; ++c) {
+        trace.tuple_ids.push_back(c < kTuples ? static_cast<std::uint32_t>(c)
+                                              : static_cast<std::uint32_t>(rng() % kTuples));
+    }
+    auto unit = std::make_shared<timing::UnitTraceDelays>();
+    unit->unit_static_period_ps = f.unit->unit_static_period_ps;
+    for (std::size_t c = 0; c < kCycles; ++c) {
+        // Requirements spread around the LUT entries, so some cycles violate.
+        unit->unit_required_period_ps.push_back(
+            f.unit->unit_required_period_ps[c % f.unit->cycles()] * (0.9 + 0.2 * (c % 7) / 6.0));
+        unit->limiting_stage.push_back(sim::Stage::kEx);
+    }
+    timing::ScaledTraceDelays delays = f.delays;
+    delays.unit = unit;
+
+    const double period = delays.static_period_ps;
+    const auto make_variants = [&] {
+        std::vector<std::unique_ptr<clocking::ClockGenerator>> owned;
+        owned.push_back(nullptr);
+        owned.push_back(make_generator(1, period));
+        owned.push_back(make_generator(2, period));
+        return owned;
+    };
+    auto reference_generators = make_variants();
+    std::vector<double> total(3, 0.0), worst(3, 0.0);
+    std::vector<std::uint64_t> violations(3, 0);
+    for (std::size_t c = 0; c < kCycles; ++c) {
+        const sim::StageKeyTuple& tuple = trace.tuples[trace.tuple_ids[c]];
+        double requested = 0.0;
+        for (int s = 0; s < sim::kStageCount; ++s) {
+            const double d =
+                f.table.effective(tuple[static_cast<std::size_t>(s)], static_cast<sim::Stage>(s));
+            if (d > requested) requested = d;
+        }
+        const double required = delays.required_period_ps(c);
+        for (std::size_t v = 0; v < 3; ++v) {
+            clocking::ClockGenerator* generator = reference_generators[v].get();
+            const double granted =
+                generator != nullptr ? generator->grant_period_ps(requested) : requested;
+            total[v] += granted;
+            if (granted + kViolationTolerancePs < required) {
+                ++violations[v];
+                worst[v] = std::max(worst[v], required - granted);
+            }
+        }
+    }
+    EXPECT_GT(violations[0], 0u);
+
+    for (const int block : {4096, 999}) {
+        for (const bool force_scalar : {false, true}) {
+            SCOPED_TRACE("block=" + std::to_string(block) +
+                         (force_scalar ? " force_scalar" : " default kernels"));
+            ReplayOptions options;
+            options.block_cycles = block;
+            options.force_scalar = force_scalar;
+            const ReplayEvaluationEngine engine(trace, delays, f.table, options);
+            auto owned = make_variants();
+            const auto results = engine.run_fused(
+                PolicyKind::kInstructionLut, {nullptr, owned[1].get(), owned[2].get()});
+            ASSERT_EQ(results.size(), 3u);
+            for (std::size_t v = 0; v < 3; ++v) {
+                SCOPED_TRACE("generator" + std::to_string(v));
+                EXPECT_EQ(results[v].cycles, kCycles);
+                EXPECT_EQ(results[v].total_time_ps, total[v]);
+                EXPECT_EQ(results[v].timing_violations, violations[v]);
+                EXPECT_EQ(results[v].worst_violation_ps, worst[v]);
+            }
+        }
+    }
 }
 
 TEST(TraceDelays, UnitPassMatchesPerCycleUnitEvaluation) {
@@ -435,10 +534,178 @@ TEST(Replay, ScalarReferenceAndSimdKernelsAreByteIdentical) {
     }
 }
 
+/// Bitwise equality (distinguishes -0.0 and compares NaN payloads).
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(ReplayKernels, MultiVariantReduceMatchesPerVariantReference) {
+    // The multi-variant reduce against a test-local per-variant loop (the
+    // scalar single-variant reduction: strict-order total, violations when
+    // fl(grant + tolerance) < fl(unit * scale), worst maxed over the deltas).
+    // 1-6 variants cover one and two interleave groups, each variant reading
+    // either a per-tuple row through the ids or per-cycle block grants,
+    // mixed within a group or all rows; grants straddle the requirement so
+    // every variant violates, and every variant starts from carried-in
+    // figures. The carried-in totals sit in small and huge binades and just
+    // below powers of two, and two tuple grants are exact halves of the
+    // total's ulp in a binade the total passes through (640 = 2.5 ulps at
+    // 2^60, 700 + 2^-32 at 2^21), so the AVX2 reduce's integer ulp steps,
+    // their binade crossings and their tie fallback are all compared.
+    // Checked after every block, on the scalar table and the SIMD table when
+    // this build and CPU have one. A last input reads per-tuple rows longer
+    // than 65,536 entries through a sparse id set reaching past 65,535.
+    constexpr std::size_t kCycles = 5000;
+    constexpr std::size_t kTuples = 37;
+    constexpr double kScale = 1.037;
+    std::mt19937_64 rng(0x2ed0ceULL);
+    const auto uniform = [&](double lo, double hi) {
+        return lo + (hi - lo) * static_cast<double>(rng() >> 11) * 0x1.0p-53;
+    };
+    std::vector<std::uint32_t> ids(kCycles);
+    std::vector<double> unit(kCycles);
+    for (std::size_t c = 0; c < kCycles; ++c) {
+        ids[c] = static_cast<std::uint32_t>(rng() % kTuples);
+        unit[c] = uniform(500.0, 1000.0);
+    }
+    constexpr std::size_t kMaxVariants = 6;
+    std::vector<std::vector<double>> rows(kMaxVariants), cycles(kMaxVariants);
+    for (std::size_t v = 0; v < kMaxVariants; ++v) {
+        for (std::size_t t = 0; t < kTuples; ++t) rows[v].push_back(uniform(480.0, 1100.0));
+        for (std::size_t c = 0; c < kCycles; ++c) cycles[v].push_back(uniform(480.0, 1100.0));
+        rows[v][0] = 640.0;
+        rows[v][1] = 700.0 + 0x1p-32;
+    }
+    const auto carried_in = [](std::size_t v) {
+        // Odd variants read per-tuple rows: one ends in the tie binade of
+        // 640, one crosses seven binades, one starts below 700 + 2^-32's.
+        constexpr double kTotals[kMaxVariants] = {1000.25, 0x1p60 - 3.0e5, 3.0e6,
+                                                  12345.678, 0x1p53, 0x1p21 - 2000.0};
+        ReduceVariant sum;
+        sum.total_time_ps = kTotals[v];
+        sum.violations = v;
+        sum.worst_violation_ps = 0.5 * static_cast<double>(v);
+        return sum;
+    };
+
+    std::vector<const ReplayKernels*> tables = {&scalar_replay_kernels()};
+    if (simd_replay_kernels() != nullptr) tables.push_back(simd_replay_kernels());
+    for (const ReplayKernels* kernels : tables) {
+        // n = 1..kMaxVariants variants, each count mixed and all rows.
+        for (std::size_t layout = 0; layout < 2 * kMaxVariants; ++layout) {
+            const std::size_t n = layout / 2 + 1;
+            const bool all_rows = layout % 2 == 1;
+            for (const std::size_t block : {std::size_t{1}, std::size_t{3}, std::size_t{4096}}) {
+                SCOPED_TRACE(std::string(kernels->name) + " variants=" + std::to_string(n) +
+                             (all_rows ? " all rows" : " mixed") +
+                             " block=" + std::to_string(block));
+                std::vector<ReduceVariant> sums, reference;
+                for (std::size_t v = 0; v < n; ++v) {
+                    sums.push_back(carried_in(v));
+                    reference.push_back(carried_in(v));
+                }
+                std::vector<std::vector<double>> block_grants(n, std::vector<double>(block));
+                for (std::size_t begin = 0; begin < kCycles; begin += block) {
+                    const std::size_t count = std::min(block, kCycles - begin);
+                    for (std::size_t v = 0; v < n; ++v) {
+                        // Mixed: odd variants read per-tuple rows, even
+                        // ones per-cycle block grants. All rows: every
+                        // variant reads a per-tuple row.
+                        sums[v].per_tuple = all_rows || v % 2 == 1;
+                        if (sums[v].per_tuple) {
+                            sums[v].grants = rows[v].data();
+                        } else {
+                            std::copy_n(cycles[v].begin() + static_cast<std::ptrdiff_t>(begin),
+                                        count, block_grants[v].begin());
+                            sums[v].grants = block_grants[v].data();
+                        }
+                        ReduceVariant& ref = reference[v];
+                        for (std::size_t c = begin; c < begin + count; ++c) {
+                            const double granted =
+                                sums[v].per_tuple ? rows[v][ids[c]] : cycles[v][c];
+                            ref.total_time_ps += granted;
+                            const double required = unit[c] * kScale;
+                            if (granted + kViolationTolerancePs < required) {
+                                ++ref.violations;
+                                ref.worst_violation_ps =
+                                    std::max(ref.worst_violation_ps, required - granted);
+                            }
+                        }
+                    }
+                    kernels->reduce(sums.data(), n, ids.data(), kTuples, unit.data(), kScale,
+                                    kViolationTolerancePs, begin, count);
+                    for (std::size_t v = 0; v < n; ++v) {
+                        ASSERT_TRUE(same_bits(sums[v].total_time_ps, reference[v].total_time_ps))
+                            << "variant " << v << " after cycle " << begin + count - 1;
+                        ASSERT_EQ(sums[v].violations, reference[v].violations)
+                            << "variant " << v << " after cycle " << begin + count - 1;
+                        ASSERT_TRUE(same_bits(sums[v].worst_violation_ps,
+                                              reference[v].worst_violation_ps))
+                            << "variant " << v << " after cycle " << begin + count - 1;
+                    }
+                }
+                for (std::size_t v = 0; v < n; ++v) {
+                    EXPECT_GT(sums[v].violations, v) << "variant " << v << " never violated";
+                }
+            }
+        }
+    }
+
+    // Rows of 65,557 entries read through 37 ids i * 1821, up to 65,556, in
+    // one call of 2^20 cycles from a zero total, as the engine runs one: the
+    // AVX2 reduce caches a row's steps only for a binade and a call that
+    // each last 4 cycles per row entry, which the totals' binades from 2^28
+    // on do. The last id's grant, 700 + 2^-25, is a tie in the 2^28 binade.
+    constexpr std::uint32_t kIdStride = 1821;
+    constexpr std::size_t kLongRow = (kTuples - 1) * kIdStride + 1;
+    constexpr std::size_t kLongCycles = std::size_t{1} << 20;
+    std::vector<std::uint32_t> long_ids(kLongCycles);
+    std::vector<double> long_unit(kLongCycles);
+    for (std::size_t c = 0; c < kLongCycles; ++c) {
+        long_ids[c] = static_cast<std::uint32_t>(rng() % kTuples) * kIdStride;
+        long_unit[c] = uniform(500.0, 1000.0);
+    }
+    std::vector<std::vector<double>> long_rows(2, std::vector<double>(kLongRow, 0.0));
+    for (auto& row : long_rows) {
+        for (std::size_t t = 0; t < kTuples; ++t) row[t * kIdStride] = uniform(480.0, 1100.0);
+    }
+    long_rows[1][kLongRow - 1] = 700.0 + 0x1p-25;
+    std::vector<ReduceVariant> reference(2);
+    for (std::size_t v = 0; v < 2; ++v) {
+        ReduceVariant& ref = reference[v];
+        for (std::size_t c = 0; c < kLongCycles; ++c) {
+            const double granted = long_rows[v][long_ids[c]];
+            ref.total_time_ps += granted;
+            const double required = long_unit[c] * kScale;
+            if (granted + kViolationTolerancePs < required) {
+                ++ref.violations;
+                ref.worst_violation_ps = std::max(ref.worst_violation_ps, required - granted);
+            }
+        }
+    }
+    ASSERT_GT(reference[0].total_time_ps, 0x1p29);
+    for (const ReplayKernels* kernels : tables) {
+        SCOPED_TRACE(std::string(kernels->name) + " rows of " + std::to_string(kLongRow));
+        std::vector<ReduceVariant> sums(2);
+        for (std::size_t v = 0; v < 2; ++v) {
+            sums[v].grants = long_rows[v].data();
+            sums[v].per_tuple = true;
+        }
+        kernels->reduce(sums.data(), 2, long_ids.data(), kLongRow, long_unit.data(), kScale,
+                        kViolationTolerancePs, 0, kLongCycles);
+        for (std::size_t v = 0; v < 2; ++v) {
+            EXPECT_TRUE(same_bits(sums[v].total_time_ps, reference[v].total_time_ps))
+                << "variant " << v;
+            EXPECT_EQ(sums[v].violations, reference[v].violations) << "variant " << v;
+            EXPECT_TRUE(same_bits(sums[v].worst_violation_ps, reference[v].worst_violation_ps))
+                << "variant " << v;
+        }
+    }
+}
+
 TEST(Replay, ClassSelectMatchesLiveWithAClampedFastEntry) {
-    // The class-select mask kernel is exact while slow >= fast >= 0. A v2
-    // table whose fast-class entry has raw + guard above the static period
-    // is clamped to it, so two-class's fast period meets its slow (static)
+    // The per-tuple class select (a max over per-stage slow-or-fast
+    // selects) is exact while slow >= fast >= 0. A v2 table whose
+    // fast-class entry has raw + guard above the static period is
+    // clamped to it, so two-class's fast period meets its slow (static)
     // period and dual-cycle's fast period sits at static: the boundary of
     // that invariant. Two-class and dual-cycle replay must still reproduce
     // the live run on both kernel tables, every generator family and every
